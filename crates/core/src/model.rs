@@ -59,7 +59,9 @@ impl ModelConfig {
 /// single-head [`ZeroShotCostModel`] puts one output MLP on top of the
 /// root state; the multi-task model (`zsdb_multitask`) attaches several
 /// task heads to the same states.  The batched (level, kind)-scheduled
-/// message passing lives in [`crate::batch`] as methods on this type.
+/// message passing lives in [`crate::batch`] as methods on this type;
+/// the allocation-free per-node pass of the serving path is
+/// [`PlanEncoder::encode_with`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PlanEncoder {
     /// Hidden dimension of node states.
@@ -130,6 +132,48 @@ impl PlanEncoder {
         params
     }
 
+    /// Allocation-free per-node message pass: fills `scratch` with one
+    /// hidden state per graph node, ready for [`InferenceScratch::decode`].
+    ///
+    /// Performs the same floating-point operations in the same order as
+    /// the training-time forward pass and the batched encoder, but skips
+    /// every backprop cache — no per-layer activation snapshots, no
+    /// per-node `MlpCache` — which is what makes concurrent shared-read
+    /// inference cheap.  Any head decoding these states is bit-identical
+    /// to the same head over [`PlanEncoder::encode_batch`]'s states.
+    pub fn encode_with(&self, graph: &PlanGraph, scratch: &mut InferenceScratch) {
+        let h = self.hidden_dim;
+        scratch.hidden_dim = h;
+        // Flat node-state buffer, stride `h`.  Every slot a parent reads is
+        // fully overwritten earlier in this same pass (children precede
+        // parents), so stale values from previous graphs are never read
+        // and the buffer only ever *grows* to the high-water mark.
+        let needed = graph.len() * h;
+        if scratch.states.len() < needed {
+            scratch.states.resize(needed, 0.0);
+        }
+
+        for (idx, node) in graph.nodes.iter().enumerate() {
+            // Own encoding, then the DeepSets sum of child states, laid out
+            // back-to-back as the combine MLP's input.
+            let combine_input = &mut scratch.combine_input;
+            combine_input.clear();
+            combine_input.reserve(2 * h);
+            combine_input.extend_from_slice(
+                self.encoders[node.kind.index()].forward_into(&node.features, &mut scratch.mlp),
+            );
+            combine_input.resize(2 * h, 0.0);
+            let (_, sum) = combine_input.split_at_mut(h);
+            for &c in &node.children {
+                for (s, v) in sum.iter_mut().zip(&scratch.states[c * h..(c + 1) * h]) {
+                    *s += v;
+                }
+            }
+            let state = self.combine.forward_into(combine_input, &mut scratch.mlp);
+            scratch.states[idx * h..(idx + 1) * h].copy_from_slice(state);
+        }
+    }
+
     /// Zero all encoder parameter gradients.
     pub fn zero_grad(&mut self) {
         for e in &mut self.encoders {
@@ -152,7 +196,9 @@ pub struct ZeroShotCostModel {
 /// Reusable buffers for allocation-free inference (no backprop caches).
 ///
 /// Serving workers hold one scratch per thread and push every request
-/// through [`ZeroShotCostModel::predict_with`]; all buffers are reused
+/// through [`PlanEncoder::encode_with`] plus one
+/// [`decode`](InferenceScratch::decode) per head
+/// (e.g. [`ZeroShotCostModel::predict_with`]); all buffers are reused
 /// across calls, so steady-state inference performs no heap allocation.
 /// The model itself is only read, so one model can be shared (`&self` /
 /// `Arc`) across any number of worker threads, each with its own scratch.
@@ -166,6 +212,18 @@ pub struct InferenceScratch {
     mlp: ForwardScratch,
     /// `[own encoding ‖ sum of child states]` input of the combine MLP.
     combine_input: Vec<f64>,
+    /// Stride of `states`: the hidden dimension of the last encode.
+    hidden_dim: usize,
+}
+
+impl InferenceScratch {
+    /// Run a head MLP on node `node`'s hidden state from the last
+    /// [`PlanEncoder::encode_with`] pass, allocation-free.  The returned
+    /// slice lives in the scratch's MLP buffers until the next call.
+    pub fn decode(&mut self, head: &Mlp, node: usize) -> &[f64] {
+        let h = self.hidden_dim;
+        head.forward_into(&self.states[node * h..(node + 1) * h], &mut self.mlp)
+    }
 }
 
 /// Per-graph forward caches needed for backpropagation.
@@ -232,50 +290,11 @@ impl ZeroShotCostModel {
     }
 
     /// Allocation-free log-runtime prediction with caller-provided scratch
-    /// buffers.
-    ///
-    /// Performs the same floating-point operations in the same order as
-    /// the training-time forward pass, but skips every backprop cache —
-    /// no per-layer activation snapshots, no per-node `MlpCache` — which
-    /// is what makes concurrent shared-read inference cheap.
+    /// buffers: [`PlanEncoder::encode_with`], then the output MLP on the
+    /// root state.
     pub fn predict_log_with(&self, graph: &PlanGraph, scratch: &mut InferenceScratch) -> f64 {
-        let h = self.config.hidden_dim;
-        // Flat node-state buffer, stride `h`.  Every slot a parent reads is
-        // fully overwritten earlier in this same pass (children precede
-        // parents), so stale values from previous graphs are never read
-        // and the buffer only ever *grows* to the high-water mark.
-        let needed = graph.len() * h;
-        if scratch.states.len() < needed {
-            scratch.states.resize(needed, 0.0);
-        }
-
-        for (idx, node) in graph.nodes.iter().enumerate() {
-            // Own encoding, then the DeepSets sum of child states, laid out
-            // back-to-back as the combine MLP's input.
-            let combine_input = &mut scratch.combine_input;
-            combine_input.clear();
-            combine_input.reserve(2 * h);
-            combine_input.extend_from_slice(
-                self.encoder.encoders[node.kind.index()]
-                    .forward_into(&node.features, &mut scratch.mlp),
-            );
-            combine_input.resize(2 * h, 0.0);
-            let (_, sum) = combine_input.split_at_mut(h);
-            for &c in &node.children {
-                for (s, v) in sum.iter_mut().zip(&scratch.states[c * h..(c + 1) * h]) {
-                    *s += v;
-                }
-            }
-            let state = self
-                .encoder
-                .combine
-                .forward_into(combine_input, &mut scratch.mlp);
-            scratch.states[idx * h..(idx + 1) * h].copy_from_slice(state);
-        }
-
-        let root = graph.root;
-        self.output
-            .forward_into(&scratch.states[root * h..(root + 1) * h], &mut scratch.mlp)[0]
+        self.encoder.encode_with(graph, scratch);
+        scratch.decode(&self.output, graph.root)[0]
     }
 
     fn forward(&self, graph: &PlanGraph) -> ForwardTrace {

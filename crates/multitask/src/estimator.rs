@@ -276,6 +276,45 @@ mod tests {
         }
     }
 
+    /// The estimator answers through `MultiTaskModel::predict`, the
+    /// per-node forward; its estimates must equal the batched forward's
+    /// bit for bit.
+    #[test]
+    fn learned_estimates_equal_the_batched_forward_bit_for_bit() {
+        let trained = quickly_trained();
+        let db = Database::generate(presets::imdb_like(0.02), 42);
+        let est =
+            LearnedCardEstimator::new(&trained, PostgresLikeEstimator::new(db.catalog().clone()));
+        let batched_rows = |plan: &PlanNode, upper: f64| {
+            let graph = featurize_plan(db.catalog(), plan, trained.featurizer);
+            let rows = trained.predict_batch(&[&graph])[0].root_rows;
+            assert!(rows.is_finite());
+            rows.clamp(1.0, upper.max(1.0))
+        };
+        let queries = WorkloadGenerator::with_defaults().generate(db.catalog(), 20, 9);
+        let mut subqueries = 0;
+        for q in &queries {
+            for &t in &q.tables {
+                let plan = LearnedCardEstimator::<PostgresLikeEstimator>::aggregate_root(
+                    est.scan_plan(t, &q.predicates),
+                );
+                let upper = db.catalog().table(t).num_tuples as f64;
+                assert_eq!(
+                    est.table_cardinality(t, &q.predicates).to_bits(),
+                    batched_rows(&plan, upper).to_bits()
+                );
+            }
+            if let Some(plan) = est.canonical_plan(q, &q.tables) {
+                assert_eq!(
+                    est.subquery_cardinality(q, &q.tables).to_bits(),
+                    batched_rows(&plan, MAX_ROWS).to_bits()
+                );
+                subqueries += 1;
+            }
+        }
+        assert!(subqueries > 0, "the workload has connected queries");
+    }
+
     #[test]
     fn disconnected_subsets_fall_back_to_the_classical_estimator() {
         let trained = quickly_trained();

@@ -2,7 +2,12 @@
 //! head per task.
 //!
 //! All heads read the node hidden states produced by a **single** encoder
-//! pass through `zsdb_core`'s (level, kind)-batched message passing:
+//! pass — `zsdb_core`'s (level, kind)-batched message passing for
+//! training and evaluation ([`MultiTaskModel::predict_batch`]), or the
+//! allocation-free per-node pass [`PlanEncoder::encode_with`] for serving
+//! ([`MultiTaskModel::predict_with`] / [`MultiTaskModel::predict_into`]);
+//! both produce bit-identical states, so every head answers identically
+//! on either path:
 //!
 //! * the **cost** head decodes the root state into `ln(runtime_secs)` —
 //!   identical architecture (and, for the same seed, identical
@@ -25,8 +30,8 @@
 
 use crate::sample::{operator_node_indices, MultiTaskSample};
 use serde::{Deserialize, Serialize};
-use zsdb_core::features::PlanGraph;
-use zsdb_core::{BatchSchedule, NodeStates, PlanEncoder, ReplicaSync};
+use zsdb_core::features::{NodeKind, PlanGraph};
+use zsdb_core::{BatchSchedule, InferenceScratch, NodeStates, PlanEncoder, ReplicaSync};
 use zsdb_nn::{Activation, Adam, Batch, Mlp};
 
 /// Hyper-parameters of the multi-task model, including the per-task loss
@@ -321,9 +326,46 @@ impl MultiTaskModel {
 
     /// Predict every task for one plan graph.
     pub fn predict(&self, graph: &PlanGraph) -> MultiTaskPrediction {
-        self.predict_batch(&[graph])
-            .pop()
-            .expect("one graph in, one prediction out")
+        self.predict_with(graph, &mut InferenceScratch::default())
+    }
+
+    /// [`MultiTaskModel::predict`] with caller-provided scratch buffers
+    /// (the serving hot path): one per-node encoder pass, then the three
+    /// heads on the root and operator states.  Bit-identical to
+    /// [`MultiTaskModel::predict_batch`] per graph.
+    pub fn predict_with(
+        &self,
+        graph: &PlanGraph,
+        scratch: &mut InferenceScratch,
+    ) -> MultiTaskPrediction {
+        let mut out = MultiTaskPrediction {
+            runtime_secs: 0.0,
+            root_rows: 0.0,
+            operator_rows: Vec::with_capacity(graph.count_kind(NodeKind::PlanOperator)),
+        };
+        self.predict_into(graph, scratch, &mut out);
+        out
+    }
+
+    /// [`MultiTaskModel::predict_with`] into a reused prediction: with a
+    /// warm scratch and an `operator_rows` buffer at its high-water mark,
+    /// performs no heap allocation.
+    pub fn predict_into(
+        &self,
+        graph: &PlanGraph,
+        scratch: &mut InferenceScratch,
+        out: &mut MultiTaskPrediction,
+    ) {
+        self.encoder.encode_with(graph, scratch);
+        out.runtime_secs = scratch.decode(&self.cost_head, graph.root)[0].exp();
+        out.root_rows = rows_from_log(scratch.decode(&self.root_card_head, graph.root)[0]);
+        out.operator_rows.clear();
+        for (i, node) in graph.nodes.iter().enumerate() {
+            if node.kind == NodeKind::PlanOperator {
+                let rows = rows_from_log(scratch.decode(&self.op_card_head, i)[0]);
+                out.operator_rows.push(rows);
+            }
+        }
     }
 
     /// Batched joint training step contribution: one shared encoder

@@ -16,10 +16,17 @@
 //!   scratch; requests are routed to shards by plan fingerprint, idle
 //!   workers steal from loaded ones, and every request is answered
 //!   bit-identically to the single-threaded path regardless of shard
-//!   count or stealing.
-//! * [`multitask`] — the same worker-pool serving for multi-task models
-//!   (`zsdb_multitask`): one submitted plan answers **every** task head
-//!   (cost, root cardinality, per-operator cardinalities) from a single
+//!   count or stealing.  The server is generic over [`ServableModel`]: a
+//!   model supplies its featurizer configuration, a per-worker scratch
+//!   type and a per-graph `predict_with(&graph, &mut scratch)`, plus how
+//!   to package the output with its [`ServeMeta`] (fingerprint, cache
+//!   hit, latency, version, shard placement) into its public prediction
+//!   type.  [`PredictionServer`] defaults to the single-task
+//!   [`TrainedModel`](zsdb_core::train::TrainedModel).
+//! * [`multitask`] — the [`ServableModel`] impl for multi-task models
+//!   (`zsdb_multitask`): [`MultiTaskPredictionServer`] is the same sharded
+//!   server, and one submitted plan answers **every** task head (cost,
+//!   root cardinality, per-operator cardinalities) from a single
 //!   shared-encoder pass; the registry stores multi-task artifacts with
 //!   per-head integrity probes.
 //! * [`cache`] — an LRU feature cache keyed by the structural plan
@@ -106,5 +113,5 @@ pub use registry::{
 };
 pub use server::{
     BatchPredictionTicket, Prediction, PredictionServer, PredictionTicket, RejectedBatch,
-    RejectedRequest, ServedModel, ServerConfig,
+    RejectedRequest, ServableModel, ServeMeta, ServedModel, ServerConfig,
 };

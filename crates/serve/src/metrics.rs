@@ -363,7 +363,7 @@ impl ServeMetrics {
         };
         // Per-shard queue depths, collected from the registry's
         // `serve.shard.N.queue_depth` gauges and ordered by shard index
-        // (empty for unsharded recorders like the multi-task server).
+        // (empty for a recorder no server registered shards on).
         let mut shard_depths: Vec<(usize, u64)> = self
             .registry
             .snapshot()
@@ -578,7 +578,7 @@ pub struct MetricsSnapshot {
     pub workers: usize,
     /// Live queue depth of each server shard, ordered by shard index —
     /// shard `i` corresponds to the `serve.shard.i.queue_depth` gauge.
-    /// Empty for unsharded recorders (e.g. the multi-task server).
+    /// Empty for a recorder no server registered shards on.
     pub shard_queue_depths: Vec<u64>,
     /// Batch-size histogram: bucket `i` counts completed batches whose
     /// size falls in `BATCH_SIZE_BUCKET_LABELS[i]` (single requests are

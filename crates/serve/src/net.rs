@@ -24,7 +24,7 @@
 //!   already buffered on a connection (a pipelining client), the reader
 //!   coalesces up to [`NetServerConfig::max_coalesce`] of them into one
 //!   [`submit_batch`](crate::PredictionServer::submit_batch)-style group
-//!   answered by a single batched forward pass.  Coalescing never reads
+//!   answered by one worker in one pass.  Coalescing never reads
 //!   the socket itself — it drains the frames a blocking read already
 //!   pulled into the decode buffer — so the reader can never perturb the
 //!   responder's writes.  The group size is clamped to the worker pool's

@@ -1,8 +1,16 @@
 //! Concurrent prediction server: a thread-per-core **sharded** worker
-//! pool with fingerprint-routed queues and work stealing.
+//! pool with fingerprint-routed queues and work stealing, generic over
+//! the served model.
 //!
 //! Design notes:
 //!
+//! * **One core, any model** — the server is generic over
+//!   [`ServableModel`]: a featurizer configuration, a per-worker scratch
+//!   type and a per-graph `predict_with`.  [`PredictionServer`] (the
+//!   default parameter) serves the single-task [`TrainedModel`];
+//!   [`MultiTaskPredictionServer`](crate::MultiTaskPredictionServer) is
+//!   the same server over the multi-task model.  Queues, caches, stealing,
+//!   metrics, tracing and hot-swap are shared code.
 //! * **Thread-per-core shards** — the server spawns
 //!   [`ServerConfig::workers`] shards, each owning its *own* bounded
 //!   `VecDeque` job queue, its own [`FeatureCache`] slice, and its own
@@ -27,19 +35,19 @@
 //!   inference takes no shard-crossing locks, and a warm cache hit (or
 //!   arena-warm featurization) performs no heap allocation.
 //! * **Deterministic results** — workers featurize with the model's own
-//!   [`FeaturizerConfig`](zsdb_core::FeaturizerConfig) and predict with
-//!   the same floating-point operations as the single-threaded path, so a
-//!   served prediction is bit-identical to
-//!   `model.predict(featurize_plan(...))` — independent of the shard
-//!   count, the routing, and whether the job was stolen.
+//!   [`FeaturizerConfig`] and predict with the same floating-point
+//!   operations as the single-threaded path, so a served prediction is
+//!   bit-identical to `model.predict(featurize_plan(...))` — independent
+//!   of the shard count, the routing, and whether the job was stolen.
 //! * **Batched submission** — [`PredictionServer::submit_batch`] enqueues
 //!   a batch as one queue entry per [`ServerConfig::max_batch_size`]
 //!   chunk (routed by its first plan's fingerprint); a worker featurizes
-//!   each chunk in one cache-assisted sweep and answers it with a single
-//!   batched forward pass ([`zsdb_core::batch`]), amortising per-request
-//!   overhead while staying bit-identical to per-request submission —
-//!   and since every chunk occupies a bounded-queue slot,
-//!   `queue_capacity` keeps bounding in-flight work for batches too.
+//!   each chunk in one cache-assisted sweep and answers it plan by plan
+//!   through the same per-graph `predict_with` as single requests (faster
+//!   than a batched forward at every chunk size the server sees, and
+//!   trivially bit-identical to per-request submission).  Every chunk
+//!   occupies a bounded-queue slot, so `queue_capacity` keeps bounding
+//!   in-flight work for batches too.
 
 use crate::cache::{CacheStats, FeatureCache};
 use crate::error::ServeError;
@@ -54,7 +62,7 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use zsdb_catalog::SchemaCatalog;
-use zsdb_core::features::{featurize_plan_into, PlanGraph};
+use zsdb_core::features::{featurize_plan_into, FeaturizerConfig, PlanGraph};
 use zsdb_core::fingerprint::plan_fingerprint;
 use zsdb_core::model::InferenceScratch;
 use zsdb_core::train::TrainedModel;
@@ -149,6 +157,92 @@ impl Prediction {
     }
 }
 
+/// Where and how a request was answered — the model-independent half of
+/// every served prediction, handed to [`ServableModel::answer`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ServeMeta {
+    /// Structural fingerprint of the request plan.
+    pub fingerprint: u64,
+    /// Whether featurization was skipped thanks to the feature cache.
+    pub cache_hit: bool,
+    /// Enqueue-to-response latency.
+    pub latency: Duration,
+    /// Version of the model that answered.
+    pub model_version: u32,
+    /// Shard the plan's fingerprint routes to (its cache home).
+    pub home_shard: u32,
+    /// Shard whose worker executed the request.
+    pub executed_shard: u32,
+    /// Whether the request was stolen off its home queue.
+    pub stolen: bool,
+    /// The flight recorder's verdict on this request's latency.
+    pub flight_class: FlightClass,
+}
+
+/// A model the sharded [`PredictionServer`] can serve.
+///
+/// The server needs three things from a model: the featurizer
+/// configuration requests are featurized with, a per-worker scratch type,
+/// and a per-graph `predict_with` that only reads the model (so one
+/// `Arc` serves every worker).  `answer` and `provenance_seed` package
+/// the output into the model's public prediction type and back.
+///
+/// `predict_with` must be a pure function of the model and the graph:
+/// the server's bit-identity guarantees (N shards ≡ 1 shard, batch ≡
+/// single, stolen ≡ home) rest on it.
+pub trait ServableModel: std::fmt::Debug + Send + Sync + 'static {
+    /// Per-worker inference buffers, reused across requests.
+    type Scratch: Default + Send;
+    /// What one forward pass yields.
+    type Output;
+    /// What a ticket redeems: the output plus its [`ServeMeta`].
+    type Prediction: std::fmt::Debug + Send + 'static;
+
+    /// The featurizer configuration the model was trained with.
+    fn featurizer(&self) -> FeaturizerConfig;
+
+    /// Answer one featurized plan through warm scratch buffers.
+    fn predict_with(&self, graph: &PlanGraph, scratch: &mut Self::Scratch) -> Self::Output;
+
+    /// Package an output with where and how it was served.
+    fn answer(output: Self::Output, meta: ServeMeta) -> Self::Prediction;
+
+    /// The provenance seed of a served prediction.
+    fn provenance_seed(prediction: &Self::Prediction) -> ProvenanceSeed;
+}
+
+impl ServableModel for TrainedModel {
+    type Scratch = InferenceScratch;
+    type Output = f64;
+    type Prediction = Prediction;
+
+    fn featurizer(&self) -> FeaturizerConfig {
+        self.featurizer
+    }
+
+    fn predict_with(&self, graph: &PlanGraph, scratch: &mut InferenceScratch) -> f64 {
+        self.model.predict_with(graph, scratch)
+    }
+
+    fn answer(runtime_secs: f64, meta: ServeMeta) -> Prediction {
+        Prediction {
+            runtime_secs,
+            fingerprint: meta.fingerprint,
+            cache_hit: meta.cache_hit,
+            latency: meta.latency,
+            model_version: meta.model_version,
+            home_shard: meta.home_shard,
+            executed_shard: meta.executed_shard,
+            stolen: meta.stolen,
+            flight_class: meta.flight_class,
+        }
+    }
+
+    fn provenance_seed(prediction: &Prediction) -> ProvenanceSeed {
+        prediction.provenance_seed()
+    }
+}
+
 /// A versioned, immutable served model — the unit of an atomic hot-swap.
 ///
 /// Workers pin the current `Arc<ServedModel>` per dequeued job, so a
@@ -157,32 +251,32 @@ impl Prediction {
 /// finishes on the old version, work dequeued after the swap runs on the
 /// new one.
 #[derive(Debug)]
-pub struct ServedModel {
+pub struct ServedModel<M = TrainedModel> {
     /// Registry version of this model (1 for a model served directly
     /// without a registry).
     pub version: u32,
     /// The model itself.
-    pub model: TrainedModel,
+    pub model: M,
 }
 
 /// Claim ticket for an in-flight request; redeem with
 /// [`PredictionTicket::wait`].
 #[derive(Debug)]
-pub struct PredictionTicket {
-    rx: mpsc::Receiver<(Prediction, Option<ActiveTrace>)>,
+pub struct PredictionTicket<M: ServableModel = TrainedModel> {
+    rx: mpsc::Receiver<(M::Prediction, Option<ActiveTrace>)>,
 }
 
-impl PredictionTicket {
+impl<M: ServableModel> PredictionTicket<M> {
     /// Block until the prediction is ready.  Fails with
     /// [`ServeError::Closed`] if the server shut down before answering.
-    pub fn wait(self) -> Result<Prediction, ServeError> {
+    pub fn wait(self) -> Result<M::Prediction, ServeError> {
         self.wait_traced().map(|(prediction, _)| prediction)
     }
 
     /// Like [`PredictionTicket::wait`], but also hands back the request's
     /// in-flight trace (when the request was submitted with one) so the
     /// caller can mark its own final stages and finish it.
-    pub fn wait_traced(self) -> Result<(Prediction, Option<ActiveTrace>), ServeError> {
+    pub fn wait_traced(self) -> Result<(M::Prediction, Option<ActiveTrace>), ServeError> {
         self.rx.recv().map_err(|_| ServeError::Closed)
     }
 }
@@ -195,15 +289,19 @@ impl PredictionTicket {
 /// several chunks (possibly by different workers); the ticket stitches
 /// them back together in submission order.
 #[derive(Debug)]
-pub struct BatchPredictionTicket {
-    parts: Vec<mpsc::Receiver<(Vec<Prediction>, Option<ActiveTrace>)>>,
+pub struct BatchPredictionTicket<M: ServableModel = TrainedModel> {
+    parts: Vec<BatchReceiver<M>>,
 }
 
-impl BatchPredictionTicket {
+/// The reply channel of one batch chunk.
+type BatchReceiver<M> =
+    mpsc::Receiver<(Vec<<M as ServableModel>::Prediction>, Option<ActiveTrace>)>;
+
+impl<M: ServableModel> BatchPredictionTicket<M> {
     /// Block until all predictions of the batch are ready and return them
     /// in submission order.  Fails with [`ServeError::Closed`] if the
     /// server shut down before answering.
-    pub fn wait(self) -> Result<Vec<Prediction>, ServeError> {
+    pub fn wait(self) -> Result<Vec<M::Prediction>, ServeError> {
         self.wait_traced().map(|(predictions, _)| predictions)
     }
 
@@ -211,7 +309,7 @@ impl BatchPredictionTicket {
     /// batch's in-flight trace.  A traced batch submission attaches its
     /// trace to the first chunk; the returned trace is the first one any
     /// chunk carried.
-    pub fn wait_traced(self) -> Result<(Vec<Prediction>, Option<ActiveTrace>), ServeError> {
+    pub fn wait_traced(self) -> Result<(Vec<M::Prediction>, Option<ActiveTrace>), ServeError> {
         let mut predictions = Vec::new();
         let mut trace = None;
         for part in self.parts {
@@ -264,7 +362,7 @@ impl std::error::Error for RejectedRequest {
 /// the unsent remainder (in submission order, for retry) and
 /// [`RejectedBatch::answered`] the ticket for chunks that *were*
 /// admitted before the queue filled up — `None` when nothing was.
-pub struct RejectedBatch {
+pub struct RejectedBatch<M: ServableModel = TrainedModel> {
     /// The plans that were not enqueued, in submission order.
     pub plans: Vec<PlanNode>,
     /// Why admission stopped ([`ServeError::Overloaded`] or
@@ -272,15 +370,11 @@ pub struct RejectedBatch {
     pub reason: ServeError,
     /// Ticket for the prefix of the batch that was admitted before the
     /// rejection, if any.
-    pub answered: Option<BatchPredictionTicket>,
+    pub answered: Option<BatchPredictionTicket<M>>,
 }
 
-impl RejectedBatch {
-    fn new(
-        plans: Vec<PlanNode>,
-        reason: ServeError,
-        parts: Vec<mpsc::Receiver<(Vec<Prediction>, Option<ActiveTrace>)>>,
-    ) -> Self {
+impl<M: ServableModel> RejectedBatch<M> {
+    fn new(plans: Vec<PlanNode>, reason: ServeError, parts: Vec<BatchReceiver<M>>) -> Self {
         RejectedBatch {
             plans,
             reason,
@@ -289,7 +383,7 @@ impl RejectedBatch {
     }
 }
 
-impl std::fmt::Debug for RejectedBatch {
+impl<M: ServableModel> std::fmt::Debug for RejectedBatch<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RejectedBatch")
             .field("plans", &self.plans.len())
@@ -299,7 +393,7 @@ impl std::fmt::Debug for RejectedBatch {
     }
 }
 
-impl std::fmt::Display for RejectedBatch {
+impl<M: ServableModel> std::fmt::Display for RejectedBatch<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
@@ -313,32 +407,32 @@ impl std::fmt::Display for RejectedBatch {
 /// A unit of queued work: one plan (with its routing fingerprint,
 /// computed once at submission), or a whole batch of plans that shares
 /// one featurization/inference pass.
-enum Job {
+enum Job<M: ServableModel> {
     Single {
         plan: PlanNode,
         fingerprint: u64,
         enqueued: Instant,
-        reply: mpsc::Sender<(Prediction, Option<ActiveTrace>)>,
+        reply: mpsc::Sender<(M::Prediction, Option<ActiveTrace>)>,
         trace: Option<ActiveTrace>,
     },
     Batch {
         plans: Vec<PlanNode>,
         enqueued: Instant,
-        reply: mpsc::Sender<(Vec<Prediction>, Option<ActiveTrace>)>,
+        reply: mpsc::Sender<(Vec<M::Prediction>, Option<ActiveTrace>)>,
         trace: Option<ActiveTrace>,
     },
 }
 
 /// Mutable half of a shard's queue, behind its mutex.
-struct ShardState {
-    jobs: VecDeque<Job>,
+struct ShardState<M: ServableModel> {
+    jobs: VecDeque<Job<M>>,
     closed: bool,
 }
 
 /// What a worker got when it asked its own queue for work.
-enum Dequeued {
+enum Dequeued<M: ServableModel> {
     /// A job to run.
-    Job(Box<Job>),
+    Job(Box<Job<M>>),
     /// Queue empty and the server is shutting down: exit.
     Closed,
     /// Queue empty, park timed out: go try a steal pass.
@@ -349,8 +443,8 @@ enum Dequeued {
 /// slice of the feature cache, and its queue-depth gauge.  Shard `i` is
 /// owned by worker `i`; other workers touch its queue only to steal and
 /// its cache only for fingerprints that route here.
-struct Shard {
-    state: Mutex<ShardState>,
+struct Shard<M: ServableModel> {
+    state: Mutex<ShardState<M>>,
     /// Signalled on push; the owning worker parks here when idle.
     not_empty: Condvar,
     /// Signalled on pop; blocking producers park here when the shard is
@@ -364,7 +458,7 @@ struct Shard {
     cache: FeatureCache,
 }
 
-impl Shard {
+impl<M: ServableModel> Shard<M> {
     fn new(capacity: usize, cache_capacity: usize, depth: Gauge) -> Self {
         Shard {
             state: Mutex::new(ShardState {
@@ -382,7 +476,7 @@ impl Shard {
     /// Enqueue, blocking while the shard is full (backpressure).  Returns
     /// the job (boxed — the error path is cold and `Job` is large) if the
     /// server closed before a slot opened.
-    fn push_wait(&self, job: Job) -> Result<(), Box<Job>> {
+    fn push_wait(&self, job: Job<M>) -> Result<(), Box<Job<M>>> {
         let mut state = self.state.lock().expect("shard queue poisoned");
         while !state.closed && state.jobs.len() >= self.capacity {
             state = self
@@ -402,7 +496,7 @@ impl Shard {
     /// Non-blocking enqueue; on failure the job comes back with the
     /// rejection reason ([`ServeError::Closed`] wins over `Overloaded`,
     /// matching the unsharded server's admission order).
-    fn try_push(&self, job: Job) -> Result<(), (Box<Job>, ServeError)> {
+    fn try_push(&self, job: Job<M>) -> Result<(), (Box<Job<M>>, ServeError)> {
         let mut state = self.state.lock().expect("shard queue poisoned");
         if state.closed {
             return Err((Box::new(job), ServeError::Closed));
@@ -418,7 +512,7 @@ impl Shard {
 
     /// Non-blocking dequeue of the oldest job — used by the owning
     /// worker's fast path and by stealers.
-    fn try_pop(&self) -> Option<Job> {
+    fn try_pop(&self) -> Option<Job<M>> {
         let mut state = self.state.lock().expect("shard queue poisoned");
         let job = state.jobs.pop_front()?;
         self.depth.dec();
@@ -429,7 +523,7 @@ impl Shard {
     /// Dequeue for the owning worker: pop a job, report shutdown once
     /// the queue is drained and closed, or park for at most `park`
     /// before the caller's next steal pass.
-    fn pop_or_park(&self, park: Duration) -> Dequeued {
+    fn pop_or_park(&self, park: Duration) -> Dequeued<M> {
         let mut state = self.state.lock().expect("shard queue poisoned");
         if let Some(job) = state.jobs.pop_front() {
             self.depth.dec();
@@ -464,45 +558,46 @@ impl Shard {
     }
 }
 
-struct Shared {
+struct Shared<M: ServableModel> {
     /// The currently served model, swappable at runtime.  Workers take
     /// the read lock only long enough to clone the `Arc`; a swap takes
     /// the write lock only long enough to replace it — neither ever
     /// blocks on inference.
-    model: RwLock<Arc<ServedModel>>,
+    model: RwLock<Arc<ServedModel<M>>>,
     catalog: SchemaCatalog,
-    shards: Vec<Shard>,
+    shards: Vec<Shard<M>>,
     metrics: ServeMetrics,
     tracer: Tracer,
 }
 
-impl Shared {
-    fn current(&self) -> Arc<ServedModel> {
+impl<M: ServableModel> Shared<M> {
+    fn current(&self) -> Arc<ServedModel<M>> {
         Arc::clone(&self.model.read().expect("served model lock poisoned"))
     }
 
     /// The shard a fingerprint routes to — the home of its queue slot
     /// and its cache entry.
-    fn shard_of(&self, fingerprint: u64) -> &Shard {
+    fn shard_of(&self, fingerprint: u64) -> &Shard<M> {
         &self.shards[(fingerprint % self.shards.len() as u64) as usize]
     }
 }
 
 /// A running prediction service over one trained model and one database
-/// catalog.
-pub struct PredictionServer {
+/// catalog — by default the single-task cost model; any
+/// [`ServableModel`] can be served.
+pub struct PredictionServer<M: ServableModel = TrainedModel> {
     workers: Vec<JoinHandle<()>>,
-    shared: Arc<Shared>,
+    shared: Arc<Shared<M>>,
     config: ServerConfig,
 }
 
-impl PredictionServer {
+impl<M: ServableModel> PredictionServer<M> {
     /// Spawn the worker pool and start accepting requests.
     ///
     /// The catalog must describe the database the request plans were
     /// optimised for — it supplies the table/column statistics the
     /// transferable featurization reads.
-    pub fn start(model: TrainedModel, catalog: SchemaCatalog, config: ServerConfig) -> Self {
+    pub fn start(model: M, catalog: SchemaCatalog, config: ServerConfig) -> Self {
         PredictionServer::start_versioned(model, 1, catalog, config)
     }
 
@@ -510,7 +605,7 @@ impl PredictionServer {
     /// (use the registry version the model was loaded from, so
     /// [`Prediction::model_version`] matches the registry lifecycle).
     pub fn start_versioned(
-        model: TrainedModel,
+        model: M,
         version: u32,
         catalog: SchemaCatalog,
         config: ServerConfig,
@@ -528,7 +623,7 @@ impl PredictionServer {
     /// tuning: the flight recorder's retention thresholds and the SLO
     /// objective the burn-rate windows grade against.
     pub fn start_observed(
-        model: TrainedModel,
+        model: M,
         version: u32,
         catalog: SchemaCatalog,
         config: ServerConfig,
@@ -577,7 +672,7 @@ impl PredictionServer {
 
     /// Enqueue a prediction request, blocking while the queue is full
     /// (backpressure).
-    pub fn submit(&self, plan: PlanNode) -> Result<PredictionTicket, ServeError> {
+    pub fn submit(&self, plan: PlanNode) -> Result<PredictionTicket<M>, ServeError> {
         self.submit_traced(plan, None)
     }
 
@@ -588,7 +683,7 @@ impl PredictionServer {
         &self,
         plan: PlanNode,
         trace: Option<ActiveTrace>,
-    ) -> Result<PredictionTicket, ServeError> {
+    ) -> Result<PredictionTicket<M>, ServeError> {
         // The fingerprint both routes the request (cache affinity) and
         // keys the cache — computed once here, carried in the job.
         let fingerprint = plan_fingerprint(&plan);
@@ -614,14 +709,17 @@ impl PredictionServer {
     /// The batch is split into chunks of at most
     /// [`ServerConfig::max_batch_size`] plans; each chunk occupies one
     /// bounded-queue slot and is answered by a single worker in one
-    /// pass — one featurization sweep (cache-assisted) and one batched
-    /// forward through the model's (level, kind) schedule — so
+    /// pass — one featurization sweep (cache-assisted), then one
+    /// `predict_with` per plan on the worker's warm scratch — so
     /// per-request overhead is amortised across the batch while
     /// `queue_capacity` still bounds in-flight work.  Every prediction
     /// is bit-identical to submitting the same plan through
     /// [`PredictionServer::submit`]; results come back in submission
     /// order.
-    pub fn submit_batch(&self, plans: Vec<PlanNode>) -> Result<BatchPredictionTicket, ServeError> {
+    pub fn submit_batch(
+        &self,
+        plans: Vec<PlanNode>,
+    ) -> Result<BatchPredictionTicket<M>, ServeError> {
         // Split oversized submissions into max_batch_size chunks, each a
         // bounded-queue entry of its own: queue_capacity keeps bounding
         // in-flight work, and an over-large batch experiences the same
@@ -662,7 +760,7 @@ impl PredictionServer {
     /// queue is full, returning the plan to the caller for retry.  Every
     /// rejection is counted in
     /// [`MetricsSnapshot::rejected_requests`](crate::MetricsSnapshot).
-    pub fn try_submit(&self, plan: PlanNode) -> Result<PredictionTicket, RejectedRequest> {
+    pub fn try_submit(&self, plan: PlanNode) -> Result<PredictionTicket<M>, RejectedRequest> {
         self.try_submit_traced(plan, None)
     }
 
@@ -673,7 +771,7 @@ impl PredictionServer {
         &self,
         plan: PlanNode,
         trace: Option<ActiveTrace>,
-    ) -> Result<PredictionTicket, RejectedRequest> {
+    ) -> Result<PredictionTicket<M>, RejectedRequest> {
         let fingerprint = plan_fingerprint(&plan);
         let (reply, rx) = mpsc::channel();
         let job = Job::Single {
@@ -683,7 +781,7 @@ impl PredictionServer {
             reply,
             trace,
         };
-        let take_plan = |job: Job| match job {
+        let take_plan = |job: Job<M>| match job {
             Job::Single { plan, .. } => plan,
             Job::Batch { .. } => unreachable!("single submission cannot hold a batch"),
         };
@@ -715,7 +813,7 @@ impl PredictionServer {
     pub fn try_submit_batch(
         &self,
         plans: Vec<PlanNode>,
-    ) -> Result<BatchPredictionTicket, RejectedBatch> {
+    ) -> Result<BatchPredictionTicket<M>, RejectedBatch<M>> {
         self.try_submit_batch_traced(plans, None)
     }
 
@@ -728,7 +826,7 @@ impl PredictionServer {
         &self,
         plans: Vec<PlanNode>,
         mut trace: Option<ActiveTrace>,
-    ) -> Result<BatchPredictionTicket, RejectedBatch> {
+    ) -> Result<BatchPredictionTicket<M>, RejectedBatch<M>> {
         let max = self.config.max_batch_size.max(1);
         let mut parts = Vec::with_capacity(plans.len().div_ceil(max));
         let mut remaining = plans;
@@ -747,7 +845,7 @@ impl PredictionServer {
                 reply,
                 trace: trace.take(),
             };
-            let take_plans = |job: Job| match job {
+            let take_plans = |job: Job<M>| match job {
                 Job::Batch { plans, .. } => plans,
                 Job::Single { .. } => unreachable!("batch submission cannot hold a single"),
             };
@@ -769,7 +867,7 @@ impl PredictionServer {
 
     /// Submit and wait for the answer (convenience for sequential
     /// clients).
-    pub fn predict_blocking(&self, plan: PlanNode) -> Result<Prediction, ServeError> {
+    pub fn predict_blocking(&self, plan: PlanNode) -> Result<M::Prediction, ServeError> {
         self.submit(plan)?.wait()
     }
 
@@ -784,7 +882,7 @@ impl PredictionServer {
     /// the swap additionally clears the cache so the old version's
     /// entries don't linger as dead weight.  Submission is never paused
     /// and no queued request is lost.
-    pub fn swap_model(&self, model: TrainedModel, version: u32) {
+    pub fn swap_model(&self, model: M, version: u32) {
         let next = Arc::new(ServedModel { version, model });
         *self
             .shared
@@ -808,7 +906,7 @@ impl PredictionServer {
     /// adaptation loop uses this to fine-tune *from* the live weights;
     /// holding the `Arc` keeps those weights alive across a concurrent
     /// swap.
-    pub fn model(&self) -> Arc<ServedModel> {
+    pub fn model(&self) -> Arc<ServedModel<M>> {
         self.shared.current()
     }
 
@@ -861,11 +959,11 @@ impl PredictionServer {
     /// and assembles + stores the prediction's [`ProvenanceRecord`] —
     /// afterwards [`explain`](Self::explain) can answer for the trace's
     /// id.  Returns the finished trace.
-    pub fn complete_traced(&self, prediction: &Prediction, trace: ActiveTrace) -> Trace {
+    pub fn complete_traced(&self, prediction: &M::Prediction, trace: ActiveTrace) -> Trace {
         let done = self.shared.tracer.finish(trace);
         self.shared
             .metrics
-            .record_completed_trace(&prediction.provenance_seed(), &done);
+            .record_completed_trace(&M::provenance_seed(prediction), &done);
         done
     }
 
@@ -930,7 +1028,7 @@ impl PredictionServer {
     }
 }
 
-impl Drop for PredictionServer {
+impl<M: ServableModel> Drop for PredictionServer<M> {
     fn drop(&mut self) {
         self.stop_workers();
     }
@@ -940,8 +1038,8 @@ impl Drop for PredictionServer {
 /// arena with its target graph, and the batch sweep's collection
 /// vectors.  All of them grow to the workload's high-water mark during
 /// warm-up and are then reused allocation-free.
-struct WorkerState {
-    scratch: InferenceScratch,
+struct WorkerState<M: ServableModel> {
+    scratch: M::Scratch,
     arena: GraphArena,
     /// Arena-backed featurization target, rebuilt in place per miss.
     graph: PlanGraph,
@@ -950,12 +1048,12 @@ struct WorkerState {
     graphs: Vec<Arc<PlanGraph>>,
 }
 
-impl WorkerState {
+impl<M: ServableModel> WorkerState<M> {
     fn new() -> Self {
         let mut arena = GraphArena::new();
         let graph = arena.take_graph();
         WorkerState {
-            scratch: InferenceScratch::default(),
+            scratch: M::Scratch::default(),
             arena,
             graph,
             fingerprints: Vec::new(),
@@ -965,7 +1063,7 @@ impl WorkerState {
     }
 }
 
-fn worker_loop(shared: &Shared, me: usize) {
+fn worker_loop<M: ServableModel>(shared: &Shared<M>, me: usize) {
     let mut state = WorkerState::new();
     let shard_count = shared.shards.len();
     loop {
@@ -1004,12 +1102,36 @@ fn worker_loop(shared: &Shared, me: usize) {
     }
 }
 
-/// The shard a fingerprint routes to, as a provenance field.
-fn home_shard_of(shared: &Shared, fingerprint: u64) -> u32 {
-    (fingerprint % shared.shards.len() as u64) as u32
+/// The serving metadata of a request answered by worker `me`.
+fn meta_of<M: ServableModel>(
+    shared: &Shared<M>,
+    me: usize,
+    fingerprint: u64,
+    cache_hit: bool,
+    latency: Duration,
+    model_version: u32,
+    flight_class: FlightClass,
+) -> ServeMeta {
+    // The shard a fingerprint routes to is its cache home.
+    let home_shard = (fingerprint % shared.shards.len() as u64) as u32;
+    ServeMeta {
+        fingerprint,
+        cache_hit,
+        latency,
+        model_version,
+        home_shard,
+        executed_shard: me as u32,
+        stolen: home_shard != me as u32,
+        flight_class,
+    }
 }
 
-fn process_job(shared: &Shared, state: &mut WorkerState, me: usize, job: Job) {
+fn process_job<M: ServableModel>(
+    shared: &Shared<M>,
+    state: &mut WorkerState<M>,
+    me: usize,
+    job: Job<M>,
+) {
     match job {
         Job::Single {
             plan,
@@ -1032,29 +1154,27 @@ fn process_job(shared: &Shared, state: &mut WorkerState, me: usize, job: Job) {
                 t.mark(STAGE_CACHE_LOOKUP);
             }
             let cache_hit = cached.is_some();
-            let runtime_secs = match cached {
-                Some(graph) => served.model.model.predict_with(&graph, &mut state.scratch),
+            let output = match cached {
+                Some(graph) => served.model.predict_with(&graph, &mut state.scratch),
                 None => {
                     featurize_plan_into(
                         &shared.catalog,
                         &plan,
-                        served.model.featurizer,
+                        served.model.featurizer(),
                         &mut state.arena,
                         &mut state.graph,
                     );
                     // Publishing to the cache clones the graph out of the
-                    // arena buffers (cold path only); with caching
-                    // disabled the miss path stays allocation-free too.
+                    // arena buffers (cold path only; the clone is
+                    // exact-capacity); with caching disabled the miss
+                    // path stays allocation-free too.
                     if cache.capacity() > 0 {
                         cache.insert(served.version, fingerprint, Arc::new(state.graph.clone()));
                     }
                     if let Some(t) = trace.as_mut() {
                         t.mark(STAGE_FEATURIZE);
                     }
-                    served
-                        .model
-                        .model
-                        .predict_with(&state.graph, &mut state.scratch)
+                    served.model.predict_with(&state.graph, &mut state.scratch)
                 }
             };
             if let Some(t) = trace.as_mut() {
@@ -1062,22 +1182,17 @@ fn process_job(shared: &Shared, state: &mut WorkerState, me: usize, job: Job) {
             }
             let latency = enqueued.elapsed();
             let flight_class = shared.metrics.record(latency);
-            let home_shard = home_shard_of(shared, fingerprint);
+            let meta = meta_of(
+                shared,
+                me,
+                fingerprint,
+                cache_hit,
+                latency,
+                served.version,
+                flight_class,
+            );
             // A dropped ticket just means the client stopped waiting.
-            let _ = reply.send((
-                Prediction {
-                    runtime_secs,
-                    fingerprint,
-                    cache_hit,
-                    latency,
-                    model_version: served.version,
-                    home_shard,
-                    executed_shard: me as u32,
-                    stolen: home_shard != me as u32,
-                    flight_class,
-                },
-                trace,
-            ));
+            let _ = reply.send((M::answer(output, meta), trace));
         }
         Job::Batch {
             plans,
@@ -1089,9 +1204,8 @@ fn process_job(shared: &Shared, state: &mut WorkerState, me: usize, job: Job) {
                 t.mark(STAGE_QUEUE_WAIT);
             }
             // One featurization sweep (cache-assisted, each plan against
-            // its home shard's cache slice), then a single batched
-            // forward over the whole request batch — all on one pinned
-            // model version.
+            // its home shard's cache slice), then one per-graph forward
+            // per plan — all on one pinned model version.
             let served = shared.current();
             state.fingerprints.clear();
             state.cache_hits.clear();
@@ -1105,7 +1219,7 @@ fn process_job(shared: &Shared, state: &mut WorkerState, me: usize, job: Job) {
                         featurize_plan_into(
                             &shared.catalog,
                             plan,
-                            served.model.featurizer,
+                            served.model.featurizer(),
                             &mut state.arena,
                             &mut state.graph,
                         );
@@ -1125,40 +1239,39 @@ fn process_job(shared: &Shared, state: &mut WorkerState, me: usize, job: Job) {
                 // sweep, so the whole sweep is one featurize stage.
                 t.mark(STAGE_FEATURIZE);
             }
-            let refs: Vec<&PlanGraph> = state.graphs.iter().map(|g| g.as_ref()).collect();
-            let runtimes = served.model.model.predict_batch(&refs);
+            let mut outputs = Vec::with_capacity(plans.len());
+            for graph in state.graphs.drain(..) {
+                outputs.push(served.model.predict_with(&graph, &mut state.scratch));
+            }
             if let Some(t) = trace.as_mut() {
                 t.mark(STAGE_FORWARD);
             }
             let latency = enqueued.elapsed();
             let flight_class = shared.metrics.record_batch(plans.len(), latency);
-            let predictions = runtimes
+            let predictions = outputs
                 .into_iter()
                 .zip(state.fingerprints.drain(..))
                 .zip(state.cache_hits.drain(..))
-                .map(|((runtime_secs, fingerprint), cache_hit)| {
-                    let home_shard = home_shard_of(shared, fingerprint);
-                    Prediction {
-                        runtime_secs,
+                .map(|((output, fingerprint), cache_hit)| {
+                    let meta = meta_of(
+                        shared,
+                        me,
                         fingerprint,
                         cache_hit,
                         latency,
-                        model_version: served.version,
-                        home_shard,
-                        executed_shard: me as u32,
-                        stolen: home_shard != me as u32,
+                        served.version,
                         flight_class,
-                    }
+                    );
+                    M::answer(output, meta)
                 })
                 .collect();
-            state.graphs.clear();
             let _ = reply.send((predictions, trace));
         }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use zsdb_catalog::presets;
     use zsdb_core::features::featurize_plan;
@@ -1166,56 +1279,415 @@ mod tests {
     use zsdb_core::model::ModelConfig;
     use zsdb_core::train::{Trainer, TrainingConfig};
     use zsdb_engine::QueryRunner;
+    use zsdb_multitask::{
+        operator_node_indices, sample_from_execution, MultiTaskConfig, MultiTaskPrediction,
+        MultiTaskSample, MultiTaskTrainer, TaskTargets, TrainedMultiTaskModel,
+    };
     use zsdb_query::WorkloadGenerator;
     use zsdb_storage::Database;
 
-    fn tiny_server_fixture() -> (TrainedModel, SchemaCatalog, Vec<PlanNode>) {
-        let db = Database::generate(presets::imdb_like(0.02), 3);
-        let runner = QueryRunner::with_defaults(&db);
-        let queries = WorkloadGenerator::with_defaults().generate(db.catalog(), 15, 1);
-        let graphs: Vec<_> = runner
-            .run_workload(&queries, 0)
-            .iter()
-            .map(|e| {
-                zsdb_core::features::featurize_execution(db.catalog(), e, FeaturizerConfig::exact())
-            })
-            .collect();
-        let trainer = Trainer::new(
-            ModelConfig::tiny(),
-            TrainingConfig {
-                epochs: 2,
-                validation_fraction: 0.0,
-                ..TrainingConfig::tiny()
-            },
-            FeaturizerConfig::exact(),
-        );
-        let model = trainer.train(&graphs);
-        let plans = runner.plan_workload(&queries);
-        (model, db.catalog().clone(), plans)
+    /// A model the behaviour tests below run against: a tiny trained
+    /// instance plus what the tests need to compare answers bit for bit.
+    pub(crate) trait Fixture: ServableModel + Clone {
+        /// A tiny trained model, its catalog and 15 request plans.
+        fn fixture() -> (Self, SchemaCatalog, Vec<PlanNode>);
+        /// A fine-tuned second version that answers differently.
+        fn tuned(&self, catalog: &SchemaCatalog, plans: &[PlanNode]) -> Self;
+        /// Every output bit of a served prediction.
+        fn bits(prediction: &Self::Prediction) -> Vec<u64>;
+        /// Every output bit of the single-threaded reference
+        /// `model.predict(featurize_plan(...))`.
+        fn reference_bits(&self, catalog: &SchemaCatalog, plan: &PlanNode) -> Vec<u64>;
     }
 
-    #[test]
-    fn served_predictions_match_the_single_threaded_path() {
-        let (model, catalog, plans) = tiny_server_fixture();
-        let server = PredictionServer::start(
+    fn tiny_database() -> (Database, Vec<zsdb_query::Query>) {
+        let db = Database::generate(presets::imdb_like(0.02), 3);
+        let queries = WorkloadGenerator::with_defaults().generate(db.catalog(), 15, 1);
+        (db, queries)
+    }
+
+    /// Fine-tuning targets for a second model version: every plan labelled
+    /// 1 s.
+    fn relabelled(
+        catalog: &SchemaCatalog,
+        plans: &[PlanNode],
+        f: FeaturizerConfig,
+    ) -> Vec<PlanGraph> {
+        plans
+            .iter()
+            .map(|p| {
+                let mut g = featurize_plan(catalog, p, f);
+                g.runtime_secs = Some(1.0);
+                g
+            })
+            .collect()
+    }
+
+    fn finetune_config() -> zsdb_core::FinetuneConfig {
+        zsdb_core::FinetuneConfig {
+            epochs: 3,
+            learning_rate: 1e-3,
+            ..zsdb_core::FinetuneConfig::default()
+        }
+    }
+
+    impl Fixture for TrainedModel {
+        fn fixture() -> (Self, SchemaCatalog, Vec<PlanNode>) {
+            let (db, queries) = tiny_database();
+            let runner = QueryRunner::with_defaults(&db);
+            let graphs: Vec<_> = runner
+                .run_workload(&queries, 0)
+                .iter()
+                .map(|e| {
+                    zsdb_core::features::featurize_execution(
+                        db.catalog(),
+                        e,
+                        FeaturizerConfig::exact(),
+                    )
+                })
+                .collect();
+            let trainer = Trainer::new(
+                ModelConfig::tiny(),
+                TrainingConfig {
+                    epochs: 2,
+                    validation_fraction: 0.0,
+                    ..TrainingConfig::tiny()
+                },
+                FeaturizerConfig::exact(),
+            );
+            let model = trainer.train(&graphs);
+            let plans = runner.plan_workload(&queries);
+            (model, db.catalog().clone(), plans)
+        }
+
+        fn tuned(&self, catalog: &SchemaCatalog, plans: &[PlanNode]) -> Self {
+            let graphs = relabelled(catalog, plans, self.featurizer);
+            Trainer::finetune_from(self, &graphs, finetune_config())
+        }
+
+        fn bits(prediction: &Prediction) -> Vec<u64> {
+            vec![prediction.runtime_secs.to_bits()]
+        }
+
+        fn reference_bits(&self, catalog: &SchemaCatalog, plan: &PlanNode) -> Vec<u64> {
+            vec![self
+                .predict(&featurize_plan(catalog, plan, self.featurizer))
+                .to_bits()]
+        }
+    }
+
+    impl Fixture for TrainedMultiTaskModel {
+        fn fixture() -> (Self, SchemaCatalog, Vec<PlanNode>) {
+            let (db, queries) = tiny_database();
+            let runner = QueryRunner::with_defaults(&db);
+            let samples: Vec<_> = runner
+                .run_workload(&queries, 0)
+                .iter()
+                .map(|e| sample_from_execution(db.catalog(), e, FeaturizerConfig::estimated()))
+                .collect();
+            let trainer = MultiTaskTrainer::new(
+                MultiTaskConfig::tiny(),
+                TrainingConfig {
+                    epochs: 2,
+                    validation_fraction: 0.0,
+                    early_stopping_patience: 0,
+                    batch_size: 8,
+                    microbatch_size: 4,
+                    ..TrainingConfig::default()
+                },
+                FeaturizerConfig::estimated(),
+            );
+            let model = trainer.train(&samples);
+            let plans = runner.plan_workload(&queries);
+            (model, db.catalog().clone(), plans)
+        }
+
+        fn tuned(&self, catalog: &SchemaCatalog, plans: &[PlanNode]) -> Self {
+            let samples: Vec<MultiTaskSample> = relabelled(catalog, plans, self.featurizer)
+                .into_iter()
+                .map(|graph| {
+                    let operators = operator_node_indices(&graph).len();
+                    MultiTaskSample {
+                        graph,
+                        targets: TaskTargets {
+                            runtime_secs: 1.0,
+                            root_rows: 1.0,
+                            operator_rows: vec![1.0; operators],
+                        },
+                    }
+                })
+                .collect();
+            MultiTaskTrainer::finetune_from(self, &samples, finetune_config())
+        }
+
+        fn bits(prediction: &crate::ServedMultiTaskPrediction) -> Vec<u64> {
+            task_bits(&prediction.tasks)
+        }
+
+        fn reference_bits(&self, catalog: &SchemaCatalog, plan: &PlanNode) -> Vec<u64> {
+            task_bits(&self.predict(&featurize_plan(catalog, plan, self.featurizer)))
+        }
+    }
+
+    /// Every head's output bits, head by head.
+    fn task_bits(tasks: &MultiTaskPrediction) -> Vec<u64> {
+        let mut bits = vec![tasks.runtime_secs.to_bits(), tasks.root_rows.to_bits()];
+        bits.extend(tasks.operator_rows.iter().map(|r| r.to_bits()));
+        bits
+    }
+
+    /// Instantiate each generic behaviour test for both served models.
+    macro_rules! for_both_models {
+        ($($behaviour:ident),* $(,)?) => {
+            mod single_task {
+                $(#[test]
+                fn $behaviour() {
+                    super::$behaviour::<zsdb_core::TrainedModel>();
+                })*
+            }
+            mod multi_task {
+                $(#[test]
+                fn $behaviour() {
+                    super::$behaviour::<zsdb_multitask::TrainedMultiTaskModel>();
+                })*
+            }
+        };
+    }
+
+    for_both_models!(
+        sharded_server_matches_one_shard_and_the_reference_bit_for_bit,
+        submit_batch_matches_single_submission_bit_for_bit,
+        hot_swap_switches_versions_and_invalidates_the_cache,
+        try_submit_sheds_load_and_counts_rejections,
+        dropped_tickets_do_not_wedge_workers_or_leak_queue_slots,
+        queue_depth_gauges_drain_to_zero,
+    );
+
+    fn sharded_server_matches_one_shard_and_the_reference_bit_for_bit<M: Fixture>() {
+        let (model, catalog, plans) = M::fixture();
+        let one = PredictionServer::start(
             model.clone(),
             catalog.clone(),
+            ServerConfig {
+                workers: 1,
+                ..ServerConfig::default()
+            },
+        );
+        let many = PredictionServer::start(
+            model.clone(),
+            catalog.clone(),
+            ServerConfig {
+                workers: 4,
+                ..ServerConfig::default()
+            },
+        );
+        for plan in &plans {
+            let a = one.predict_blocking(plan.clone()).unwrap();
+            let b = many.predict_blocking(plan.clone()).unwrap();
+            assert_eq!(
+                M::bits(&a),
+                model.reference_bits(&catalog, plan),
+                "served answer must equal the single-threaded path"
+            );
+            assert_eq!(
+                M::bits(&a),
+                M::bits(&b),
+                "shard count must not change a single bit"
+            );
+            let (a, b) = (M::provenance_seed(&a), M::provenance_seed(&b));
+            assert_eq!(a.fingerprint, plan_fingerprint(plan));
+            assert_eq!(a.fingerprint, b.fingerprint);
+            assert_eq!(b.home_shard, (b.fingerprint % 4) as u32);
+        }
+        // Batched submission too: chunk routing differs between the two
+        // servers, the answers must not.
+        let a = one.submit_batch(plans.clone()).unwrap().wait().unwrap();
+        let b = many.submit_batch(plans.clone()).unwrap().wait().unwrap();
+        assert_eq!(a.len(), plans.len());
+        for (x, y) in a.iter().zip(&b) {
+            assert_eq!(M::bits(x), M::bits(y));
+        }
+    }
+
+    fn submit_batch_matches_single_submission_bit_for_bit<M: Fixture>() {
+        let (model, catalog, plans) = M::fixture();
+        let server = PredictionServer::start(
+            model,
+            catalog,
             ServerConfig {
                 workers: 2,
                 ..ServerConfig::default()
             },
         );
-        for plan in &plans {
-            let served = server.predict_blocking(plan.clone()).unwrap();
-            let reference = model.predict(&featurize_plan(&catalog, plan, model.featurizer));
-            assert_eq!(served.runtime_secs.to_bits(), reference.to_bits());
-            assert_eq!(served.fingerprint, plan_fingerprint(plan));
+        // Reference: every plan served individually.
+        let singles: Vec<M::Prediction> = plans
+            .iter()
+            .map(|p| server.predict_blocking(p.clone()).unwrap())
+            .collect();
+        // Same plans as one batch.
+        let batch = server
+            .submit_batch(plans.clone())
+            .expect("submit batch")
+            .wait()
+            .expect("batch answered");
+        assert_eq!(batch.len(), plans.len());
+        for (single, batched) in singles.iter().zip(&batch) {
+            assert_eq!(M::bits(single), M::bits(batched));
+            let (single, batched) = (M::provenance_seed(single), M::provenance_seed(batched));
+            assert_eq!(single.fingerprint, batched.fingerprint);
+            // The singles warmed the cache, so the batch hits it.
+            assert!(batched.cache_hit);
         }
+        // Histogram: |plans| singles in bucket "1", one batch in its
+        // own bucket.
+        let metrics = server.metrics();
+        assert_eq!(metrics.batch_size_histogram[0], plans.len() as u64);
+        assert_eq!(
+            metrics.batch_size_histogram.iter().sum::<u64>(),
+            plans.len() as u64 + 1
+        );
+        assert_eq!(metrics.total_requests, 2 * plans.len() as u64);
+
+        // Empty batches answer immediately with no work recorded.
+        let empty = server.submit_batch(Vec::new()).unwrap().wait().unwrap();
+        assert!(empty.is_empty());
+        assert_eq!(server.metrics().total_requests, 2 * plans.len() as u64);
+    }
+
+    fn hot_swap_switches_versions_and_invalidates_the_cache<M: Fixture>() {
+        let (model, catalog, plans) = M::fixture();
+        let tuned = model.tuned(&catalog, &plans);
+        assert_ne!(
+            model.reference_bits(&catalog, &plans[0]),
+            tuned.reference_bits(&catalog, &plans[0]),
+            "the two versions must answer differently"
+        );
+
+        let server =
+            PredictionServer::start(model.clone(), catalog.clone(), ServerConfig::default());
+        assert_eq!(server.model_version(), 1);
+        let before = server.predict_blocking(plans[0].clone()).unwrap();
+        assert_eq!(M::provenance_seed(&before).model_version, 1);
+        assert_eq!(M::bits(&before), model.reference_bits(&catalog, &plans[0]));
+
+        // Warm the cache, then swap.
+        let warmed = server.predict_blocking(plans[0].clone()).unwrap();
+        assert!(M::provenance_seed(&warmed).cache_hit);
+        server.swap_model(tuned.clone(), 2);
+        assert_eq!(server.model_version(), 2);
+
+        let after = server.predict_blocking(plans[0].clone()).unwrap();
+        let seed = M::provenance_seed(&after);
+        assert_eq!(seed.model_version, 2);
+        assert!(!seed.cache_hit, "swap invalidated the feature cache");
+        assert_eq!(M::bits(&after), tuned.reference_bits(&catalog, &plans[0]));
+
+        let metrics = server.metrics();
+        assert_eq!(metrics.model_swaps, 1);
+        assert_eq!(metrics.cache_invalidations, 1);
+    }
+
+    fn try_submit_sheds_load_and_counts_rejections<M: Fixture>() {
+        let (model, catalog, plans) = M::fixture();
+        // One worker and a one-slot queue: a burst must eventually see
+        // `Overloaded` (the first job may still be in flight).
+        let mut server = PredictionServer::start(
+            model,
+            catalog,
+            ServerConfig {
+                workers: 1,
+                queue_capacity: 1,
+                cache_capacity: 0,
+                ..ServerConfig::default()
+            },
+        );
+        let mut overloaded = 0;
+        let mut tickets = Vec::new();
+        for _ in 0..200 {
+            match server.try_submit(plans[1].clone()) {
+                Ok(t) => tickets.push(t),
+                Err(RejectedRequest {
+                    plan,
+                    reason: ServeError::Overloaded,
+                }) => {
+                    overloaded += 1;
+                    // The plan comes back intact for a later retry.
+                    assert_eq!(&*plan, &plans[1]);
+                }
+                Err(e) => panic!("unexpected error: {e}"),
+            }
+        }
+        for t in tickets {
+            t.wait().unwrap();
+        }
+        assert!(overloaded > 0, "a 200-request burst should overflow");
+        // Every shed request is visible in the metrics.
+        assert_eq!(server.metrics().rejected_requests, overloaded);
+
+        // A closed server rejects (and counts) too.
+        server.stop_workers();
+        let rejected = server.try_submit(plans[0].clone()).unwrap_err();
+        assert!(matches!(rejected.reason, ServeError::Closed));
+        assert_eq!(server.metrics().rejected_requests, overloaded + 1);
+    }
+
+    fn dropped_tickets_do_not_wedge_workers_or_leak_queue_slots<M: Fixture>() {
+        let (model, catalog, plans) = M::fixture();
+        let server = PredictionServer::start(
+            model,
+            catalog,
+            ServerConfig {
+                workers: 2,
+                queue_capacity: 4,
+                ..ServerConfig::default()
+            },
+        );
+        // Clients that give up: submit and immediately drop the ticket —
+        // single and batch — more times than the queue holds.
+        for plan in plans.iter().cycle().take(12) {
+            drop(server.submit(plan.clone()).unwrap());
+        }
+        drop(server.submit_batch(plans.clone()).unwrap());
+        // Workers must still drain the queues and answer new requests.
+        let answered = server.predict_blocking(plans[0].clone()).unwrap();
+        assert!(f64::from_bits(M::bits(&answered)[0]).is_finite());
+        // Every abandoned request is still fully processed (no wedged
+        // worker, no leaked slot): 12 singles + one 15-plan batch + 1.
+        // Shards drain independently of the blocking request above, so
+        // poll until the abandoned jobs flush through.
+        let expected = 12 + plans.len() as u64 + 1;
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        let mut metrics = server.metrics();
+        while metrics.total_requests != expected && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+            metrics = server.metrics();
+        }
+        assert_eq!(metrics.total_requests, expected);
+        assert_eq!(metrics.rejected_requests, 0);
+    }
+
+    fn queue_depth_gauges_drain_to_zero<M: Fixture>() {
+        let (model, catalog, plans) = M::fixture();
+        let server = PredictionServer::start(model, catalog, ServerConfig::default());
+        let tickets: Vec<_> = (0..16)
+            .map(|_| server.submit(plans[0].clone()).unwrap())
+            .collect();
+        for t in tickets {
+            t.wait().unwrap();
+        }
+        server.submit_batch(plans.clone()).unwrap().wait().unwrap();
+        let snap = server.metrics();
+        assert_eq!(snap.queue_depth, 0, "all dequeued");
+        assert!(
+            snap.shard_queue_depths.iter().all(|&d| d == 0),
+            "every shard drained: {:?}",
+            snap.shard_queue_depths
+        );
     }
 
     #[test]
     fn traced_requests_are_explainable_end_to_end() {
-        let (model, catalog, plans) = tiny_server_fixture();
+        let (model, catalog, plans) = TrainedModel::fixture();
         let server = PredictionServer::start_observed(
             model,
             7,
@@ -1271,7 +1743,7 @@ mod tests {
 
     #[test]
     fn repeated_plans_hit_the_cache() {
-        let (model, catalog, plans) = tiny_server_fixture();
+        let (model, catalog, plans) = TrainedModel::fixture();
         let server = PredictionServer::start(model, catalog, ServerConfig::default());
         let first = server.predict_blocking(plans[0].clone()).unwrap();
         assert!(!first.cache_hit);
@@ -1282,56 +1754,8 @@ mod tests {
     }
 
     #[test]
-    fn submit_batch_matches_single_submission_bit_for_bit() {
-        let (model, catalog, plans) = tiny_server_fixture();
-        let server = PredictionServer::start(
-            model,
-            catalog,
-            ServerConfig {
-                workers: 2,
-                ..ServerConfig::default()
-            },
-        );
-        // Reference: every plan served individually.
-        let singles: Vec<Prediction> = plans
-            .iter()
-            .map(|p| server.predict_blocking(p.clone()).unwrap())
-            .collect();
-        // Same plans as one batch.
-        let batch = server
-            .submit_batch(plans.clone())
-            .expect("submit batch")
-            .wait()
-            .expect("batch answered");
-        assert_eq!(batch.len(), plans.len());
-        for (single, batched) in singles.iter().zip(&batch) {
-            assert_eq!(
-                single.runtime_secs.to_bits(),
-                batched.runtime_secs.to_bits()
-            );
-            assert_eq!(single.fingerprint, batched.fingerprint);
-            // The singles warmed the cache, so the batch hits it.
-            assert!(batched.cache_hit);
-        }
-        // Histogram: |plans| singles in bucket "1", one batch in its
-        // own bucket.
-        let metrics = server.metrics();
-        assert_eq!(metrics.batch_size_histogram[0], plans.len() as u64);
-        assert_eq!(
-            metrics.batch_size_histogram.iter().sum::<u64>(),
-            plans.len() as u64 + 1
-        );
-        assert_eq!(metrics.total_requests, 2 * plans.len() as u64);
-
-        // Empty batches answer immediately with no work recorded.
-        let empty = server.submit_batch(Vec::new()).unwrap().wait().unwrap();
-        assert!(empty.is_empty());
-        assert_eq!(server.metrics().total_requests, 2 * plans.len() as u64);
-    }
-
-    #[test]
     fn oversized_batches_are_split_but_answered_in_order() {
-        let (model, catalog, plans) = tiny_server_fixture();
+        let (model, catalog, plans) = TrainedModel::fixture();
         let server = PredictionServer::start(
             model,
             catalog,
@@ -1362,99 +1786,8 @@ mod tests {
     }
 
     #[test]
-    fn hot_swap_switches_versions_and_invalidates_the_cache() {
-        let (model, catalog, plans) = tiny_server_fixture();
-        // A second, distinguishable model: fine-tune the first.
-        let graphs: Vec<_> = plans
-            .iter()
-            .map(|p| {
-                let mut g = featurize_plan(&catalog, p, model.featurizer);
-                g.runtime_secs = Some(1.0);
-                g
-            })
-            .collect();
-        let tuned = zsdb_core::Trainer::finetune_from(
-            &model,
-            &graphs,
-            zsdb_core::FinetuneConfig {
-                epochs: 3,
-                learning_rate: 1e-3,
-                ..zsdb_core::FinetuneConfig::default()
-            },
-        );
-        assert_ne!(
-            model.predict(&graphs[0]).to_bits(),
-            tuned.predict(&graphs[0]).to_bits(),
-            "the two versions must answer differently"
-        );
-
-        let server =
-            PredictionServer::start(model.clone(), catalog.clone(), ServerConfig::default());
-        assert_eq!(server.model_version(), 1);
-        let before = server.predict_blocking(plans[0].clone()).unwrap();
-        assert_eq!(before.model_version, 1);
-        let reference = model.predict(&featurize_plan(&catalog, &plans[0], model.featurizer));
-        assert_eq!(before.runtime_secs.to_bits(), reference.to_bits());
-
-        // Warm the cache, then swap.
-        let warmed = server.predict_blocking(plans[0].clone()).unwrap();
-        assert!(warmed.cache_hit);
-        server.swap_model(tuned.clone(), 2);
-        assert_eq!(server.model_version(), 2);
-
-        let after = server.predict_blocking(plans[0].clone()).unwrap();
-        assert_eq!(after.model_version, 2);
-        assert!(!after.cache_hit, "swap invalidated the feature cache");
-        let tuned_reference = tuned.predict(&featurize_plan(&catalog, &plans[0], tuned.featurizer));
-        assert_eq!(after.runtime_secs.to_bits(), tuned_reference.to_bits());
-
-        let metrics = server.metrics();
-        assert_eq!(metrics.model_swaps, 1);
-        assert_eq!(metrics.cache_invalidations, 1);
-    }
-
-    #[test]
-    fn try_submit_sheds_load_when_the_queue_is_full() {
-        let (model, catalog, plans) = tiny_server_fixture();
-        // One worker and a one-slot queue: a burst must eventually see
-        // `Overloaded` (the first job may still be in flight).
-        let server = PredictionServer::start(
-            model,
-            catalog,
-            ServerConfig {
-                workers: 1,
-                queue_capacity: 1,
-                cache_capacity: 0,
-                ..ServerConfig::default()
-            },
-        );
-        let mut overloaded = 0;
-        let mut tickets = Vec::new();
-        for _ in 0..200 {
-            match server.try_submit(plans[1].clone()) {
-                Ok(t) => tickets.push(t),
-                Err(RejectedRequest {
-                    plan,
-                    reason: ServeError::Overloaded,
-                }) => {
-                    overloaded += 1;
-                    // The plan comes back intact for a later retry.
-                    assert_eq!(&*plan, &plans[1]);
-                }
-                Err(e) => panic!("unexpected error: {e}"),
-            }
-        }
-        for t in tickets {
-            t.wait().unwrap();
-        }
-        assert!(overloaded > 0, "a 200-request burst should overflow");
-        // Every shed request is visible in the metrics.
-        assert_eq!(server.metrics().rejected_requests, overloaded);
-    }
-
-    #[test]
     fn try_submit_batch_is_atomic_up_to_max_batch_size() {
-        let (model, catalog, plans) = tiny_server_fixture();
+        let (model, catalog, plans) = TrainedModel::fixture();
         let server = PredictionServer::start(
             model,
             catalog,
@@ -1499,7 +1832,7 @@ mod tests {
 
     #[test]
     fn try_submit_batch_reports_partial_admission_honestly() {
-        let (model, catalog, plans) = tiny_server_fixture();
+        let (model, catalog, plans) = TrainedModel::fixture();
         // Tiny chunks over a tiny queue: an oversized batch will get some
         // chunks in before the queue fills.
         let server = PredictionServer::start(
@@ -1544,7 +1877,7 @@ mod tests {
 
     #[test]
     fn closed_server_rejections_are_counted() {
-        let (model, catalog, plans) = tiny_server_fixture();
+        let (model, catalog, plans) = TrainedModel::fixture();
         let mut server = PredictionServer::start(model, catalog, ServerConfig::default());
         server.stop_workers();
         let rejected = server.try_submit(plans[0].clone()).unwrap_err();
@@ -1556,44 +1889,8 @@ mod tests {
     }
 
     #[test]
-    fn dropped_tickets_do_not_wedge_workers_or_leak_queue_slots() {
-        let (model, catalog, plans) = tiny_server_fixture();
-        let server = PredictionServer::start(
-            model,
-            catalog,
-            ServerConfig {
-                workers: 2,
-                queue_capacity: 4,
-                ..ServerConfig::default()
-            },
-        );
-        // Clients that give up: submit and immediately drop the ticket —
-        // single and batch — more times than the queue holds.
-        for plan in plans.iter().cycle().take(12) {
-            drop(server.submit(plan.clone()).unwrap());
-        }
-        drop(server.submit_batch(plans.clone()).unwrap());
-        // Workers must still drain the queues and answer new requests.
-        let answered = server.predict_blocking(plans[0].clone()).unwrap();
-        assert!(answered.runtime_secs.is_finite());
-        // Every abandoned request is still fully processed (no wedged
-        // worker, no leaked slot): 12 singles + one 15-plan batch + 1.
-        // Shards drain independently of the blocking request above, so
-        // poll until the abandoned jobs flush through.
-        let expected = 12 + plans.len() as u64 + 1;
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        let mut metrics = server.metrics();
-        while metrics.total_requests != expected && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-            metrics = server.metrics();
-        }
-        assert_eq!(metrics.total_requests, expected);
-        assert_eq!(metrics.rejected_requests, 0);
-    }
-
-    #[test]
     fn shutdown_reports_final_metrics_and_closes_submission() {
-        let (model, catalog, plans) = tiny_server_fixture();
+        let (model, catalog, plans) = TrainedModel::fixture();
         let server = PredictionServer::start(model, catalog, ServerConfig::default());
         for plan in plans.iter().take(6) {
             server.predict_blocking(plan.clone()).unwrap();
@@ -1605,46 +1902,8 @@ mod tests {
     }
 
     #[test]
-    fn sharded_server_matches_one_shard_server_bit_for_bit() {
-        let (model, catalog, plans) = tiny_server_fixture();
-        let one = PredictionServer::start(
-            model.clone(),
-            catalog.clone(),
-            ServerConfig {
-                workers: 1,
-                ..ServerConfig::default()
-            },
-        );
-        let many = PredictionServer::start(
-            model,
-            catalog,
-            ServerConfig {
-                workers: 4,
-                ..ServerConfig::default()
-            },
-        );
-        for plan in &plans {
-            let a = one.predict_blocking(plan.clone()).unwrap();
-            let b = many.predict_blocking(plan.clone()).unwrap();
-            assert_eq!(
-                a.runtime_secs.to_bits(),
-                b.runtime_secs.to_bits(),
-                "shard count must not change a single bit"
-            );
-            assert_eq!(a.fingerprint, b.fingerprint);
-        }
-        // Batched submission too: chunk routing differs between the two
-        // servers, the answers must not.
-        let a = one.submit_batch(plans.clone()).unwrap().wait().unwrap();
-        let b = many.submit_batch(plans.clone()).unwrap().wait().unwrap();
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.runtime_secs.to_bits(), y.runtime_secs.to_bits());
-        }
-    }
-
-    #[test]
     fn metrics_expose_one_queue_depth_gauge_per_shard() {
-        let (model, catalog, plans) = tiny_server_fixture();
+        let (model, catalog, plans) = TrainedModel::fixture();
         let server = PredictionServer::start(
             model,
             catalog,
@@ -1669,7 +1928,7 @@ mod tests {
 
     #[test]
     fn a_hot_fingerprint_is_drained_by_the_whole_pool() {
-        let (model, catalog, plans) = tiny_server_fixture();
+        let (model, catalog, plans) = TrainedModel::fixture();
         // Every request is the same plan, so every job routes to one
         // shard whose queue holds just one job (queue_capacity 4 over 4
         // shards); the blocking submits only keep up because idle
@@ -1698,7 +1957,7 @@ mod tests {
 
     #[test]
     fn cache_stats_aggregate_across_shards() {
-        let (model, catalog, plans) = tiny_server_fixture();
+        let (model, catalog, plans) = TrainedModel::fixture();
         let server = PredictionServer::start(
             model,
             catalog,
@@ -1731,7 +1990,7 @@ mod tests {
 
     #[test]
     fn concurrent_clients_get_consistent_answers() {
-        let (model, catalog, plans) = tiny_server_fixture();
+        let (model, catalog, plans) = TrainedModel::fixture();
         let expected: Vec<u64> = plans
             .iter()
             .map(|p| {

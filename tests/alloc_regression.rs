@@ -11,36 +11,58 @@
 //! Integration tests are separate crates, so installing a global
 //! allocator (and the `unsafe` it requires) here does not relax the
 //! `#![forbid(unsafe_code)]` contract of any library crate.
+//!
+//! The counter is **thread-local and armed only around the measured
+//! loop** ([`count_allocations`]): the test harness runs sibling tests on
+//! other threads, and their cold set-up must not land in this window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use zero_shot_db::catalog::presets;
+use zero_shot_db::multitask::{MultiTaskConfig, MultiTaskModel, MultiTaskPrediction};
 use zero_shot_db::serve::FeatureCache;
 use zero_shot_db::storage::Database;
-use zero_shot_db::zeroshot::features::featurize_plan_into;
+use zero_shot_db::zeroshot::features::{featurize_plan, featurize_plan_into};
 use zero_shot_db::zeroshot::{plan_fingerprint, GraphArena, InferenceScratch};
 use zsdb_bench::tiny_serving_fixture;
 
-/// Pass-through allocator that counts every allocation (fresh and
-/// growing reallocations both count — the hot path must do neither).
+/// Pass-through allocator that counts every allocation made by a thread
+/// while that thread's counter is armed (fresh and growing reallocations
+/// both count — the hot path must do neither).
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
+fn count_one() {
+    // `try_with`: the allocator also runs during thread teardown, after
+    // thread-locals may be gone.
+    let _ = ARMED.try_with(|armed| {
+        if armed.get() {
+            ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        }
+    });
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, so
+// the caller's `GlobalAlloc` contract carries over; the counting touches
+// only const-initialized thread-locals, which never allocate.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -52,8 +74,14 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+/// Run `f` with this thread's counter armed; returns its result and the
+/// number of allocations it made on this thread.
+fn count_allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    ALLOCATIONS.with(|n| n.set(0));
+    ARMED.with(|armed| armed.set(true));
+    let result = f();
+    ARMED.with(|armed| armed.set(false));
+    (result, ALLOCATIONS.with(Cell::get))
 }
 
 #[test]
@@ -85,26 +113,26 @@ fn warm_inference_hot_path_does_not_allocate() {
     // Measured section: the exact per-request hot path of a serving
     // worker — featurize into warm scratch, slab-cache hit, forward
     // pass — must not touch the allocator at all.
-    let mut checksum = 0.0;
-    let before = allocations();
-    for _ in 0..50 {
-        for plan in &plans {
-            featurize_plan_into(db.catalog(), plan, featurizer, &mut arena, &mut graph);
-            let fingerprint = plan_fingerprint(plan);
-            let cached = cache
-                .get(1, fingerprint)
-                .expect("warmed shape must be cached");
-            checksum += model.model.predict_with(&cached, &mut scratch);
+    let (checksum, allocations) = count_allocations(|| {
+        let mut checksum = 0.0;
+        for _ in 0..50 {
+            for plan in &plans {
+                featurize_plan_into(db.catalog(), plan, featurizer, &mut arena, &mut graph);
+                let fingerprint = plan_fingerprint(plan);
+                let cached = cache
+                    .get(1, fingerprint)
+                    .expect("warmed shape must be cached");
+                checksum += model.model.predict_with(&cached, &mut scratch);
+            }
         }
-    }
-    let after = allocations();
+        checksum
+    });
 
     assert!(checksum.is_finite());
     assert_eq!(
-        after - before,
+        allocations,
         0,
-        "warm hot path allocated {} times over {} requests",
-        after - before,
+        "warm hot path allocated {allocations} times over {} requests",
         50 * plans.len()
     );
 }
@@ -144,39 +172,87 @@ fn warm_hot_path_stays_zero_alloc_with_flight_recorder_enabled() {
     }
 
     // Measured section: hot path *plus* per-request observability.
-    let mut checksum = 0.0;
-    let before = allocations();
-    for round in 0..50u64 {
-        for plan in &plans {
-            featurize_plan_into(db.catalog(), plan, featurizer, &mut arena, &mut graph);
-            let fingerprint = plan_fingerprint(plan);
-            let cached = cache
-                .get(1, fingerprint)
-                .expect("warmed shape must be cached");
-            checksum += model.model.predict_with(&cached, &mut scratch);
-            // Vary the latency so the percentile trigger arms and both
-            // classification branches execute inside the measured loop.
-            // Any verdict is fine — classify must not allocate either way.
-            let _ = recorder.classify(500 + round * 10, true);
-            slo.record(500 + round * 10, true);
+    let (checksum, allocations) = count_allocations(|| {
+        let mut checksum = 0.0;
+        for round in 0..50u64 {
+            for plan in &plans {
+                featurize_plan_into(db.catalog(), plan, featurizer, &mut arena, &mut graph);
+                let fingerprint = plan_fingerprint(plan);
+                let cached = cache
+                    .get(1, fingerprint)
+                    .expect("warmed shape must be cached");
+                checksum += model.model.predict_with(&cached, &mut scratch);
+                // Vary the latency so the percentile trigger arms and both
+                // classification branches execute inside the measured
+                // loop.  Any verdict is fine — classify must not allocate
+                // either way.
+                let _ = recorder.classify(500 + round * 10, true);
+                slo.record(500 + round * 10, true);
+            }
         }
-    }
-    let after = allocations();
+        checksum
+    });
 
     assert!(checksum.is_finite());
     assert_eq!(
-        after - before,
+        allocations,
         0,
-        "observed warm hot path allocated {} times over {} requests",
-        after - before,
+        "observed warm hot path allocated {allocations} times over {} requests",
         50 * plans.len()
+    );
+}
+
+/// The multi-task model's per-node forward — all three heads into a
+/// reused [`MultiTaskPrediction`] through warm scratch — is
+/// zero-allocation too: it is what a multi-task serving worker runs per
+/// request.
+#[test]
+fn warm_multitask_forward_does_not_allocate() {
+    let db = Database::generate(presets::imdb_like(0.02), 17);
+    let (single, plans) = tiny_serving_fixture(&db, 8, 5);
+    let graphs: Vec<_> = plans
+        .iter()
+        .map(|p| featurize_plan(db.catalog(), p, single.featurizer))
+        .collect();
+    let model = MultiTaskModel::new(MultiTaskConfig::default());
+    let mut scratch = InferenceScratch::default();
+    let mut prediction = MultiTaskPrediction {
+        runtime_secs: 0.0,
+        root_rows: 0.0,
+        operator_rows: Vec::new(),
+    };
+
+    // Warm-up: scratch and `operator_rows` grow to their high-water mark.
+    for graph in &graphs {
+        model.predict_into(graph, &mut scratch, &mut prediction);
+    }
+
+    let (checksum, allocations) = count_allocations(|| {
+        let mut checksum = 0.0;
+        for _ in 0..50 {
+            for graph in &graphs {
+                model.predict_into(graph, &mut scratch, &mut prediction);
+                checksum += prediction.runtime_secs + prediction.root_rows;
+                checksum += prediction.operator_rows.iter().sum::<f64>();
+            }
+        }
+        checksum
+    });
+
+    assert!(checksum.is_finite());
+    assert_eq!(
+        allocations,
+        0,
+        "warm multi-task forward allocated {allocations} times over {} requests",
+        50 * graphs.len()
     );
 }
 
 #[test]
 fn counting_allocator_is_installed() {
-    let before = allocations();
-    let v: Vec<u64> = Vec::with_capacity(1024);
-    drop(v);
-    assert!(allocations() > before, "global allocator hook not active");
+    let ((), allocations) = count_allocations(|| {
+        let v: Vec<u64> = Vec::with_capacity(1024);
+        drop(std::hint::black_box(v));
+    });
+    assert!(allocations > 0, "global allocator hook not active");
 }
