@@ -609,7 +609,8 @@ impl Client {
         )?))
     }
 
-    /// Enqueue a batch of plans answered by one batched forward pass.
+    /// Enqueue a batch of plans in one frame, answered through the
+    /// server's batch submission.
     pub fn submit_batch(&self, plans: &[PlanNode]) -> Result<PendingBatch, ClientError> {
         Ok(PendingBatch(self.send(
             || Message::PredictBatch(plans.to_vec()),

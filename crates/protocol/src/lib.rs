@@ -44,7 +44,7 @@
 //! * [`Message::Predict`] / [`Message::PredictOk`] — one plan, one
 //!   prediction.
 //! * [`Message::PredictBatch`] / [`Message::PredictBatchOk`] — many plans
-//!   answered by one batched forward pass.
+//!   in one frame, answered through the server's batch submission.
 //! * [`Message::Metrics`] / [`Message::MetricsOk`] — gateway + per-tenant
 //!   serving metrics (JSON).
 //! * [`Message::MetricsText`] / [`Message::MetricsTextOk`] — the same

@@ -17,11 +17,12 @@
 //!   workers steal from loaded ones, and every request is answered
 //!   bit-identically to the single-threaded path regardless of shard
 //!   count or stealing.  The server is generic over [`ServableModel`]: a
-//!   model supplies its featurizer configuration, a per-worker scratch
-//!   type and a per-graph `predict_with(&graph, &mut scratch)`, plus how
-//!   to package the output with its [`ServeMeta`] (fingerprint, cache
-//!   hit, latency, version, shard placement) into its public prediction
-//!   type.  [`PredictionServer`] defaults to the single-task
+//!   model supplies its featurizer configuration, a per-graph
+//!   `predict_with(&graph, &mut scratch)` through the worker's warm
+//!   `InferenceScratch`, a batched `predict_batch` for large batch
+//!   chunks, and how to package the output with its [`ServeMeta`]
+//!   (fingerprint, cache hit, latency, version, shard placement) into its
+//!   public prediction type.  [`PredictionServer`] defaults to the single-task
 //!   [`TrainedModel`](zsdb_core::train::TrainedModel).
 //! * [`multitask`] — the [`ServableModel`] impl for multi-task models
 //!   (`zsdb_multitask`): [`MultiTaskPredictionServer`] is the same sharded

@@ -6,16 +6,17 @@
 //! [`PredictionServer`] over the multi-task model — the same per-shard
 //! queues and cache slices, work stealing, hot-swap, metrics and
 //! tracing.  A request is featurized **once** and pushed through the
-//! shared encoder **once** ([`MultiTaskModel::predict_into`] on the
-//! worker's warm scratch); the cost, root-cardinality and per-operator
-//! heads all read that single pass — which is the point of the
-//! multi-task subsystem: the marginal cost of an extra task at serving
-//! time is one tiny head MLP, not another model.
+//! shared encoder **once** ([`MultiTaskModel::predict_with`] on the
+//! worker's warm scratch; its one heap allocation per request is the
+//! returned `operator_rows`, which the caller owns); the cost,
+//! root-cardinality and per-operator heads all read that single pass —
+//! which is the point of the multi-task subsystem: the marginal cost of
+//! an extra task at serving time is one tiny head MLP, not another model.
 //!
 //! Served predictions are bit-identical to the single-threaded
 //! `model.predict(featurize_plan(…))` path, for every head.
 //!
-//! [`MultiTaskModel::predict_into`]: zsdb_multitask::MultiTaskModel::predict_into
+//! [`MultiTaskModel::predict_with`]: zsdb_multitask::MultiTaskModel::predict_with
 
 use crate::provenance::ProvenanceSeed;
 use crate::server::{
@@ -84,7 +85,6 @@ impl ServedMultiTaskPrediction {
 }
 
 impl ServableModel for TrainedMultiTaskModel {
-    type Scratch = InferenceScratch;
     type Output = MultiTaskPrediction;
     type Prediction = ServedMultiTaskPrediction;
 
@@ -98,6 +98,10 @@ impl ServableModel for TrainedMultiTaskModel {
         scratch: &mut InferenceScratch,
     ) -> MultiTaskPrediction {
         self.model.predict_with(graph, scratch)
+    }
+
+    fn predict_batch(&self, graphs: &[&PlanGraph]) -> Vec<MultiTaskPrediction> {
+        self.model.predict_batch(graphs)
     }
 
     fn answer(tasks: MultiTaskPrediction, meta: ServeMeta) -> ServedMultiTaskPrediction {

@@ -42,12 +42,11 @@
 //! * **Batched submission** — [`PredictionServer::submit_batch`] enqueues
 //!   a batch as one queue entry per [`ServerConfig::max_batch_size`]
 //!   chunk (routed by its first plan's fingerprint); a worker featurizes
-//!   each chunk in one cache-assisted sweep and answers it plan by plan
-//!   through the same per-graph `predict_with` as single requests (faster
-//!   than a batched forward at every chunk size the server sees, and
-//!   trivially bit-identical to per-request submission).  Every chunk
-//!   occupies a bounded-queue slot, so `queue_capacity` keeps bounding
-//!   in-flight work for batches too.
+//!   each chunk in one cache-assisted sweep and answers it with one
+//!   batched forward, or plan by plan through the per-graph
+//!   `predict_with` below 32 plans, where that is the cheaper forward.
+//!   Both are bit-identical to per-request submission.  Every chunk occupies a bounded-queue slot, so
+//!   `queue_capacity` keeps bounding in-flight work for batches too.
 
 use crate::cache::{CacheStats, FeatureCache};
 use crate::error::ServeError;
@@ -80,6 +79,15 @@ const TRACE_RING: usize = 256;
 /// queue is stolen within a fraction of a millisecond; large enough that
 /// an idle pool burns negligible CPU.
 const STEAL_PARK: Duration = Duration::from_micros(500);
+
+/// Smallest batch chunk answered with the model's batched forward;
+/// smaller chunks go plan by plan through `predict_with`.  Per graph
+/// (plans of 19.4 nodes on average, 2-vCPU VM), the per-node forward
+/// costs 1.2–2.8× less than the batched one up to 16 plans at both model
+/// widths (hidden 16 and 48); from 32 plans on the two are level or the
+/// batched one is cheaper (up to 13% on the hidden-16 model), and
+/// `bench_serve --batch 32` ran up to 14% slower plan by plan.
+const BATCHED_FORWARD_MIN: usize = 32;
 
 /// Tunables of a [`PredictionServer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -181,18 +189,18 @@ pub struct ServeMeta {
 
 /// A model the sharded [`PredictionServer`] can serve.
 ///
-/// The server needs three things from a model: the featurizer
-/// configuration requests are featurized with, a per-worker scratch type,
-/// and a per-graph `predict_with` that only reads the model (so one
-/// `Arc` serves every worker).  `answer` and `provenance_seed` package
-/// the output into the model's public prediction type and back.
+/// The server needs the featurizer configuration requests are featurized
+/// with, a per-graph `predict_with` through the worker's warm
+/// [`InferenceScratch`], and a `predict_batch` for large batch chunks;
+/// both only read the model, so one `Arc` serves every worker.  `answer`
+/// and `provenance_seed` package the output into the model's public
+/// prediction type and back.
 ///
-/// `predict_with` must be a pure function of the model and the graph:
-/// the server's bit-identity guarantees (N shards ≡ 1 shard, batch ≡
-/// single, stolen ≡ home) rest on it.
+/// `predict_with` must be a pure function of the model and the graph,
+/// and `predict_batch` must equal it bit for bit: the server's
+/// bit-identity guarantees (N shards ≡ 1 shard, batch ≡ single, stolen ≡
+/// home) rest on it.
 pub trait ServableModel: std::fmt::Debug + Send + Sync + 'static {
-    /// Per-worker inference buffers, reused across requests.
-    type Scratch: Default + Send;
     /// What one forward pass yields.
     type Output;
     /// What a ticket redeems: the output plus its [`ServeMeta`].
@@ -202,7 +210,11 @@ pub trait ServableModel: std::fmt::Debug + Send + Sync + 'static {
     fn featurizer(&self) -> FeaturizerConfig;
 
     /// Answer one featurized plan through warm scratch buffers.
-    fn predict_with(&self, graph: &PlanGraph, scratch: &mut Self::Scratch) -> Self::Output;
+    fn predict_with(&self, graph: &PlanGraph, scratch: &mut InferenceScratch) -> Self::Output;
+
+    /// Answer a batch of featurized plans in one batched forward, each
+    /// output bit-identical to [`ServableModel::predict_with`].
+    fn predict_batch(&self, graphs: &[&PlanGraph]) -> Vec<Self::Output>;
 
     /// Package an output with where and how it was served.
     fn answer(output: Self::Output, meta: ServeMeta) -> Self::Prediction;
@@ -212,7 +224,6 @@ pub trait ServableModel: std::fmt::Debug + Send + Sync + 'static {
 }
 
 impl ServableModel for TrainedModel {
-    type Scratch = InferenceScratch;
     type Output = f64;
     type Prediction = Prediction;
 
@@ -222,6 +233,10 @@ impl ServableModel for TrainedModel {
 
     fn predict_with(&self, graph: &PlanGraph, scratch: &mut InferenceScratch) -> f64 {
         self.model.predict_with(graph, scratch)
+    }
+
+    fn predict_batch(&self, graphs: &[&PlanGraph]) -> Vec<f64> {
+        self.model.predict_batch(graphs)
     }
 
     fn answer(runtime_secs: f64, meta: ServeMeta) -> Prediction {
@@ -709,8 +724,9 @@ impl<M: ServableModel> PredictionServer<M> {
     /// The batch is split into chunks of at most
     /// [`ServerConfig::max_batch_size`] plans; each chunk occupies one
     /// bounded-queue slot and is answered by a single worker in one
-    /// pass — one featurization sweep (cache-assisted), then one
-    /// `predict_with` per plan on the worker's warm scratch — so
+    /// pass — one featurization sweep (cache-assisted), then one batched
+    /// forward (one `predict_with` per plan for chunks of fewer than 32
+    /// plans, where that is cheaper) — so
     /// per-request overhead is amortised across the batch while
     /// `queue_capacity` still bounds in-flight work.  Every prediction
     /// is bit-identical to submitting the same plan through
@@ -1038,8 +1054,8 @@ impl<M: ServableModel> Drop for PredictionServer<M> {
 /// arena with its target graph, and the batch sweep's collection
 /// vectors.  All of them grow to the workload's high-water mark during
 /// warm-up and are then reused allocation-free.
-struct WorkerState<M: ServableModel> {
-    scratch: M::Scratch,
+struct WorkerState {
+    scratch: InferenceScratch,
     arena: GraphArena,
     /// Arena-backed featurization target, rebuilt in place per miss.
     graph: PlanGraph,
@@ -1048,12 +1064,12 @@ struct WorkerState<M: ServableModel> {
     graphs: Vec<Arc<PlanGraph>>,
 }
 
-impl<M: ServableModel> WorkerState<M> {
+impl WorkerState {
     fn new() -> Self {
         let mut arena = GraphArena::new();
         let graph = arena.take_graph();
         WorkerState {
-            scratch: M::Scratch::default(),
+            scratch: InferenceScratch::default(),
             arena,
             graph,
             fingerprints: Vec::new(),
@@ -1128,7 +1144,7 @@ fn meta_of<M: ServableModel>(
 
 fn process_job<M: ServableModel>(
     shared: &Shared<M>,
-    state: &mut WorkerState<M>,
+    state: &mut WorkerState,
     me: usize,
     job: Job<M>,
 ) {
@@ -1204,8 +1220,8 @@ fn process_job<M: ServableModel>(
                 t.mark(STAGE_QUEUE_WAIT);
             }
             // One featurization sweep (cache-assisted, each plan against
-            // its home shard's cache slice), then one per-graph forward
-            // per plan — all on one pinned model version.
+            // its home shard's cache slice), then the forward — all on
+            // one pinned model version.
             let served = shared.current();
             state.fingerprints.clear();
             state.cache_hits.clear();
@@ -1239,10 +1255,17 @@ fn process_job<M: ServableModel>(
                 // sweep, so the whole sweep is one featurize stage.
                 t.mark(STAGE_FEATURIZE);
             }
-            let mut outputs = Vec::with_capacity(plans.len());
-            for graph in state.graphs.drain(..) {
-                outputs.push(served.model.predict_with(&graph, &mut state.scratch));
-            }
+            let outputs: Vec<M::Output> = if plans.len() < BATCHED_FORWARD_MIN {
+                state
+                    .graphs
+                    .iter()
+                    .map(|graph| served.model.predict_with(graph, &mut state.scratch))
+                    .collect()
+            } else {
+                let refs: Vec<&PlanGraph> = state.graphs.iter().map(|g| g.as_ref()).collect();
+                served.model.predict_batch(&refs)
+            };
+            state.graphs.clear();
             if let Some(t) = trace.as_mut() {
                 t.mark(STAGE_FORWARD);
             }
@@ -1552,6 +1575,22 @@ pub(crate) mod tests {
         let empty = server.submit_batch(Vec::new()).unwrap().wait().unwrap();
         assert!(empty.is_empty());
         assert_eq!(server.metrics().total_requests, 2 * plans.len() as u64);
+
+        // A chunk of at least `BATCHED_FORWARD_MIN` plans takes the
+        // batched forward: still bit-identical to the singles.
+        assert!(plans.len() < BATCHED_FORWARD_MIN);
+        let repeated: Vec<usize> = (0..2 * BATCHED_FORWARD_MIN)
+            .map(|i| i % plans.len())
+            .collect();
+        let large = server
+            .submit_batch(repeated.iter().map(|&i| plans[i].clone()).collect())
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert_eq!(large.len(), repeated.len());
+        for (&i, batched) in repeated.iter().zip(&large) {
+            assert_eq!(M::bits(&singles[i]), M::bits(batched));
+        }
     }
 
     fn hot_swap_switches_versions_and_invalidates_the_cache<M: Fixture>() {

@@ -204,8 +204,10 @@ fn warm_hot_path_stays_zero_alloc_with_flight_recorder_enabled() {
 
 /// The multi-task model's per-node forward — all three heads into a
 /// reused [`MultiTaskPrediction`] through warm scratch — is
-/// zero-allocation too: it is what a multi-task serving worker runs per
-/// request.
+/// zero-allocation too.  A multi-task serving worker answers through
+/// `predict_with`, the same forward into a fresh prediction: exactly one
+/// allocation per request, the returned `operator_rows`, which the caller
+/// owns.
 #[test]
 fn warm_multitask_forward_does_not_allocate() {
     let db = Database::generate(presets::imdb_like(0.02), 17);
@@ -245,6 +247,25 @@ fn warm_multitask_forward_does_not_allocate() {
         0,
         "warm multi-task forward allocated {allocations} times over {} requests",
         50 * graphs.len()
+    );
+
+    let (served, allocations) = count_allocations(|| {
+        let mut served = Vec::with_capacity(graphs.len());
+        for graph in &graphs {
+            served.push(model.predict_with(graph, &mut scratch));
+        }
+        served
+    });
+    for (graph, tasks) in graphs.iter().zip(&served) {
+        model.predict_into(graph, &mut scratch, &mut prediction);
+        assert_eq!(tasks, &prediction);
+    }
+    // One for the collecting `Vec`, one per request for its rows.
+    assert_eq!(
+        allocations,
+        1 + graphs.len() as u64,
+        "served multi-task forward made {allocations} allocations over {} requests",
+        graphs.len()
     );
 }
 
