@@ -104,7 +104,7 @@ pub fn evaluate(
 
 /// Mini-batch size of the chunked evaluation sweeps (bounds the size of
 /// the batched forward's intermediate state).
-const EVAL_CHUNK: usize = 256;
+pub(crate) const EVAL_CHUNK: usize = 256;
 
 /// Predict a slice of graphs in bounded-size batches (keeps peak memory
 /// flat for arbitrarily large evaluation sets).  Shared by every batched

@@ -17,8 +17,9 @@
 //! order.
 
 use crate::features::{NodeKind, PlanGraph};
+use crate::train::{Trainable, TrainableConfig, TrainedModel};
 use serde::{Deserialize, Serialize};
-use zsdb_nn::{Activation, Adam, ForwardScratch, Mlp, MlpCache};
+use zsdb_nn::{q_error, Activation, ForwardScratch, Mlp, MlpCache, ParamBuf};
 
 /// Hyper-parameters of the zero-shot cost model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -172,14 +173,6 @@ impl PlanEncoder {
             let state = self.combine.forward_into(combine_input, &mut scratch.mlp);
             scratch.states[idx * h..(idx + 1) * h].copy_from_slice(state);
         }
-    }
-
-    /// Zero all encoder parameter gradients.
-    pub fn zero_grad(&mut self) {
-        for e in &mut self.encoders {
-            e.zero_grad();
-        }
-        self.combine.zero_grad();
     }
 }
 
@@ -374,74 +367,6 @@ impl ZeroShotCostModel {
         loss
     }
 
-    /// Zero all parameter gradients.
-    pub fn zero_grad(&mut self) {
-        self.encoder.zero_grad();
-        self.output.zero_grad();
-    }
-
-    /// Apply one optimizer step over all parameters (in the canonical
-    /// parameter order — the same layout the flat gradient reduction of
-    /// [`ZeroShotCostModel::export_gradients`] uses).
-    pub fn apply_step(&mut self, adam: &mut Adam) {
-        adam.step(&mut self.all_params_mut());
-    }
-
-    /// Every parameter buffer in the model's canonical order (encoders by
-    /// node kind, then combine, then output; weights before bias per
-    /// layer).  This order defines the layout of the flat gradient vectors
-    /// used by the deterministic shard reduction in the trainer.
-    pub(crate) fn all_params(&self) -> Vec<&zsdb_nn::ParamBuf> {
-        let mut params = self.encoder.params();
-        params.extend(self.output.params());
-        params
-    }
-
-    /// Mutable counterpart of [`ZeroShotCostModel::all_params`], same
-    /// order.
-    pub(crate) fn all_params_mut(&mut self) -> Vec<&mut zsdb_nn::ParamBuf> {
-        let mut params = self.encoder.params_mut();
-        params.extend(self.output.params_mut());
-        params
-    }
-
-    /// Export the accumulated gradients as one flat vector in canonical
-    /// parameter order (cleared and refilled).
-    pub fn export_gradients(&self, out: &mut Vec<f64>) {
-        out.clear();
-        for p in self.all_params() {
-            out.extend_from_slice(&p.grad);
-        }
-    }
-
-    /// Add a flat gradient vector (as produced by
-    /// [`ZeroShotCostModel::export_gradients`]) onto this model's
-    /// gradient buffers.  Together with a fixed caller-side reduction
-    /// order this makes multi-shard gradient accumulation deterministic.
-    pub fn add_gradients(&mut self, flat: &[f64]) {
-        let mut offset = 0;
-        for p in self.all_params_mut() {
-            let len = p.grad.len();
-            for (g, v) in p.grad.iter_mut().zip(&flat[offset..offset + len]) {
-                *g += v;
-            }
-            offset += len;
-        }
-        assert_eq!(offset, flat.len(), "flat gradient length mismatch");
-    }
-
-    /// Copy the parameter *values* (not gradients or optimizer moments)
-    /// from `src`.  Used to refresh worker-shard model replicas after
-    /// every optimizer step; allocation-free (buffer-to-buffer copies).
-    pub fn copy_weights_from(&mut self, src: &Self) {
-        let from = src.all_params();
-        let dst = self.all_params_mut();
-        assert_eq!(dst.len(), from.len(), "model shapes differ");
-        for (d, s) in dst.into_iter().zip(from) {
-            d.data.copy_from_slice(&s.data);
-        }
-    }
-
     /// Serialize the model to a JSON string.
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("model serialization cannot fail")
@@ -453,13 +378,65 @@ impl ZeroShotCostModel {
     }
 }
 
+impl TrainableConfig for ModelConfig {
+    type Model = ZeroShotCostModel;
+}
+
+impl Trainable for ZeroShotCostModel {
+    type Config = ModelConfig;
+    type Sample = PlanGraph;
+    type Metrics = f64;
+    type Trained = TrainedModel;
+    const TASKS: usize = 1;
+
+    fn from_config(config: ModelConfig) -> Self {
+        ZeroShotCostModel::new(config)
+    }
+
+    /// Encoders by node kind, then combine, then output; weights before
+    /// bias per layer.
+    fn all_params(&self) -> Vec<&ParamBuf> {
+        let mut params = self.encoder.params();
+        params.extend(self.output.params());
+        params
+    }
+
+    fn all_params_mut(&mut self) -> Vec<&mut ParamBuf> {
+        let mut params = self.encoder.params_mut();
+        params.extend(self.output.params_mut());
+        params
+    }
+
+    fn accumulate_shard(&mut self, graphs: &[&PlanGraph], qerrors: &mut [Vec<f64>]) {
+        let targets: Vec<f64> = graphs
+            .iter()
+            .map(|g| {
+                g.runtime_secs
+                    .expect("all training graphs must carry runtime labels")
+            })
+            .collect();
+        let backprop = self.accumulate_gradients_batch(graphs, &targets);
+        let pairs = backprop.predictions.iter().zip(&targets);
+        qerrors[0].extend(pairs.map(|(p, t)| q_error(*p, *t)));
+    }
+
+    fn push_qerrors(&self, graphs: &[&PlanGraph], qerrors: &mut [Vec<f64>]) {
+        let pairs = self.predict_batch(graphs).into_iter().zip(graphs);
+        qerrors[0].extend(pairs.map(|(p, g)| q_error(p, g.runtime_secs.expect("labelled"))));
+    }
+
+    fn metrics(medians: &[f64]) -> f64 {
+        medians[0]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::features::{featurize_execution, FeaturizerConfig};
     use zsdb_catalog::presets;
     use zsdb_engine::QueryRunner;
-    use zsdb_nn::q_error;
+    use zsdb_nn::Adam;
     use zsdb_query::WorkloadGenerator;
     use zsdb_storage::Database;
 

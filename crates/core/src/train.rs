@@ -1,14 +1,17 @@
-//! Training, validation and few-shot fine-tuning of zero-shot cost models.
+//! Training, validation and few-shot fine-tuning of zero-shot models.
 //!
-//! [`Trainer::train`] is the **batched** trainer: every optimizer step
-//! forwards a shuffled mini-batch of plan graphs through the
-//! (level, kind)-batched message-passing engine
-//! ([`crate::batch`]), with the mini-batch split into fixed-size
-//! micro-batch *shards* whose gradients are computed independently
-//! (optionally on `std::thread` workers) and reduced in ascending shard
-//! order.  Because the shard boundaries depend only on the configuration
-//! — never on the thread count — training with 1 thread and with N
-//! threads produces **bit-identical** weights.
+//! [`Trainer`] is the **batched** trainer, generic over the model it
+//! trains ([`Trainable`]: the single-head [`ZeroShotCostModel`] and the
+//! multi-task model in `zsdb_multitask`).  Every optimizer step forwards a
+//! shuffled mini-batch of plan graphs through the (level, kind)-batched
+//! message-passing engine ([`crate::batch`]), with the mini-batch split
+//! into fixed-size micro-batch *shards* whose gradients are computed
+//! independently (optionally on `std::thread` workers) and reduced in
+//! ascending shard order.  Because the shard boundaries depend only on the
+//! configuration — never on the thread count — training with 1 thread and
+//! with N threads produces **bit-identical** weights.  Fine-tuning
+//! ([`Trainer::finetune_from`]) is the same epoch loop continued from
+//! trained weights.
 //!
 //! The original one-graph-at-a-time loop is retained as
 //! [`Trainer::train_per_example`]; it is the reference implementation the
@@ -24,7 +27,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 use zsdb_engine::QueryExecution;
-use zsdb_nn::{median, q_error, Adam};
+use zsdb_nn::{median, q_error, Adam, ParamBuf};
 use zsdb_obs::Tracer;
 use zsdb_storage::Database;
 
@@ -107,10 +110,10 @@ impl TrainingConfig {
 /// executions, e.g. few-shot adaptation to an unseen database or an online
 /// adaptation round inside the serving layer.
 ///
-/// Fine-tuning runs on the same batched, sharded gradient engine as
-/// [`Trainer::train`], so the 1-thread ≡ N-thread bit-determinism
-/// guarantee carries over: the shard boundaries depend only on
-/// [`FinetuneConfig::microbatch_size`], never on
+/// Fine-tuning runs the epoch loop of [`Trainer::train`] (without a
+/// validation split or early stopping), so the 1-thread ≡ N-thread
+/// bit-determinism guarantee carries over: the shard boundaries depend
+/// only on [`FinetuneConfig::microbatch_size`], never on
 /// [`FinetuneConfig::threads`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FinetuneConfig {
@@ -146,17 +149,159 @@ impl Default for FinetuneConfig {
 }
 
 impl FinetuneConfig {
-    /// Effective number of worker threads (resolves the `0 = auto`
-    /// setting, mirroring [`TrainingConfig::effective_threads`]).
-    pub fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
+    /// The training loop that fine-tunes a set of `len` samples: every
+    /// sample is trained on, nothing is held out, no early stopping.
+    fn as_training(&self, len: usize) -> TrainingConfig {
+        TrainingConfig {
+            epochs: self.epochs,
+            batch_size: if self.batch_size == 0 {
+                len
+            } else {
+                self.batch_size
+            },
+            learning_rate: self.learning_rate,
+            validation_fraction: 0.0,
+            seed: self.seed,
+            microbatch_size: self.microbatch_size,
+            threads: self.threads,
+            early_stopping_patience: 0,
         }
     }
+}
+
+/// A model the generic [`Trainer`] can train: flat parameter buffers, a
+/// batched backward pass of its (joint) loss and per-task q-errors.
+///
+/// Implemented by the single-head [`ZeroShotCostModel`] and by the
+/// multi-task model in `zsdb_multitask`, so both run on one epoch loop
+/// and one deterministic data-parallel shard engine, however many task
+/// heads hang off the encoder.
+pub trait Trainable: Clone + Send + Sync {
+    /// Hyper-parameters a fresh model is built from.
+    type Config: TrainableConfig<Model = Self>;
+    /// One labelled training example.
+    type Sample: Sync;
+    /// Median q-errors of every task (`f64` for a single head).
+    type Metrics: Copy;
+    /// What [`Trainer::train`] returns: the model plus its training
+    /// statistics.
+    type Trained: TrainedArtifact<Model = Self>;
+    /// Number of task heads whose q-errors are tracked.  Task 0 is the
+    /// runtime cost, the metric validation and early stopping monitor.
+    const TASKS: usize;
+
+    /// A freshly initialised model.
+    fn from_config(config: Self::Config) -> Self;
+
+    /// Every parameter buffer in canonical order.  This order is the
+    /// layout of the flat gradient vectors of the shard reduction.
+    fn all_params(&self) -> Vec<&ParamBuf>;
+
+    /// Mutable counterpart of [`Trainable::all_params`], same order.
+    fn all_params_mut(&mut self) -> Vec<&mut ParamBuf>;
+
+    /// Accumulate the loss gradients of `samples` in one batched
+    /// forward/backward pass (no optimizer step) and push the q-errors of
+    /// the training forward onto `qerrors[task]`.
+    fn accumulate_shard(&mut self, samples: &[&Self::Sample], qerrors: &mut [Vec<f64>]);
+
+    /// Push the q-errors of the batched forward over `samples` onto
+    /// `qerrors[task]`.
+    fn push_qerrors(&self, samples: &[&Self::Sample], qerrors: &mut [Vec<f64>]);
+
+    /// The metrics of per-task medians (`medians.len() == TASKS`).
+    fn metrics(medians: &[f64]) -> Self::Metrics;
+
+    /// Zero all parameter gradients.
+    fn zero_grad(&mut self) {
+        for p in self.all_params_mut() {
+            p.zero_grad();
+        }
+    }
+
+    /// Apply one optimizer step over all parameters, in canonical order.
+    fn apply_step(&mut self, adam: &mut Adam) {
+        adam.step(&mut self.all_params_mut());
+    }
+
+    /// Export the accumulated gradients as one flat vector in canonical
+    /// parameter order (cleared and refilled).
+    fn export_gradients(&self, out: &mut Vec<f64>) {
+        out.clear();
+        for p in self.all_params() {
+            out.extend_from_slice(&p.grad);
+        }
+    }
+
+    /// Add a flat gradient vector (as produced by
+    /// [`Trainable::export_gradients`]) onto this model's gradient
+    /// buffers.  Together with a fixed caller-side reduction order this
+    /// makes multi-shard gradient accumulation deterministic.
+    fn add_gradients(&mut self, flat: &[f64]) {
+        let mut offset = 0;
+        for p in self.all_params_mut() {
+            let len = p.grad.len();
+            for (g, v) in p.grad.iter_mut().zip(&flat[offset..offset + len]) {
+                *g += v;
+            }
+            offset += len;
+        }
+        assert_eq!(offset, flat.len(), "flat gradient length mismatch");
+    }
+
+    /// Copy the parameter *values* (not gradients or optimizer moments)
+    /// from `src`.  Refreshes the worker-shard replicas after every
+    /// optimizer step; allocation-free (buffer-to-buffer copies).
+    fn copy_weights_from(&mut self, src: &Self) {
+        let from = src.all_params();
+        let dst = self.all_params_mut();
+        assert_eq!(dst.len(), from.len(), "model shapes differ");
+        for (d, s) in dst.into_iter().zip(from) {
+            d.data.copy_from_slice(&s.data);
+        }
+    }
+}
+
+/// The model type a configuration builds: lets [`Trainer`] be generic
+/// over its model configuration.
+pub trait TrainableConfig: Copy {
+    /// The model this configuration builds.
+    type Model: Trainable<Config = Self>;
+}
+
+/// A trained model with the featurizer it was trained with and its
+/// training statistics.
+pub trait TrainedArtifact {
+    /// The trained model type.
+    type Model: Trainable<Trained = Self>;
+
+    /// Package the result of an epoch loop.
+    fn from_training(
+        model: Self::Model,
+        featurizer: FeaturizerConfig,
+        stats: TrainingStats<<Self::Model as Trainable>::Metrics>,
+    ) -> Self;
+
+    /// The trained model and its featurizer configuration.
+    fn parts(&self) -> (&Self::Model, FeaturizerConfig);
+}
+
+/// What one run of the epoch loop measured, in the model's metric type.
+#[derive(Debug, Clone)]
+pub struct TrainingStats<Q> {
+    /// Median training q-errors of the returned weights.
+    pub final_train: Q,
+    /// Median validation q-errors of the returned weights (`None` without
+    /// a validation split).
+    pub final_validation: Option<Q>,
+    /// Per-epoch median q-errors of the epoch's own training forwards
+    /// (one entry per epoch actually run).
+    pub training_curve: Vec<Q>,
+    /// Per-epoch monitored validation cost q-errors (empty without a
+    /// validation split).
+    pub validation_curve: Vec<f64>,
+    /// Whether early stopping ended training before the epoch cap.
+    pub stopped_early: bool,
 }
 
 /// A trained zero-shot model together with its featurizer configuration and
@@ -207,19 +352,45 @@ impl TrainedModel {
     }
 }
 
-/// Trainer for zero-shot cost models.
+impl TrainedArtifact for TrainedModel {
+    type Model = ZeroShotCostModel;
+
+    fn from_training(
+        model: ZeroShotCostModel,
+        featurizer: FeaturizerConfig,
+        stats: TrainingStats<f64>,
+    ) -> Self {
+        TrainedModel {
+            model,
+            featurizer,
+            final_train_qerror: stats.final_train,
+            final_validation_qerror: stats.final_validation,
+            training_curve: stats.training_curve,
+            validation_curve: stats.validation_curve,
+            stopped_early: stats.stopped_early,
+        }
+    }
+
+    fn parts(&self) -> (&ZeroShotCostModel, FeaturizerConfig) {
+        (&self.model, self.featurizer)
+    }
+}
+
+/// Trainer of zero-shot models, generic over the model configuration:
+/// `Trainer` (= `Trainer<ModelConfig>`) trains the single-head
+/// [`ZeroShotCostModel`], `Trainer<MultiTaskConfig>` the multi-task model.
 #[derive(Debug, Clone)]
-pub struct Trainer {
-    model_config: ModelConfig,
+pub struct Trainer<C = ModelConfig> {
+    model_config: C,
     training_config: TrainingConfig,
     featurizer: FeaturizerConfig,
     tracer: Option<Tracer>,
 }
 
-impl Trainer {
+impl<C: TrainableConfig> Trainer<C> {
     /// Create a trainer.
     pub fn new(
-        model_config: ModelConfig,
+        model_config: C,
         training_config: TrainingConfig,
         featurizer: FeaturizerConfig,
     ) -> Self {
@@ -233,7 +404,7 @@ impl Trainer {
 
     /// Attach a [`Tracer`]: [`Trainer::train`] then emits one
     /// `train.epoch_secs` event per epoch (wall time, shard-gradient time
-    /// and the epoch's median q-error in the detail).  Tracing never
+    /// and the epoch's median cost q-error in the detail).  Tracing never
     /// changes the trained weights.
     #[must_use]
     pub fn with_tracer(mut self, tracer: Tracer) -> Self {
@@ -241,6 +412,89 @@ impl Trainer {
         self
     }
 
+    /// The trainer's training configuration.
+    pub fn training_config(&self) -> &TrainingConfig {
+        &self.training_config
+    }
+
+    /// The trainer's featurizer configuration.
+    pub fn featurizer(&self) -> FeaturizerConfig {
+        self.featurizer
+    }
+
+    /// Train a fresh model on labelled samples with the batched engine:
+    /// shuffled mini-batches, (level, kind)-batched message passing,
+    /// deterministic sharded gradient accumulation, validation split and
+    /// early stopping.
+    ///
+    /// Samples in the validation tail split are evaluated but never
+    /// trained on.  The monitored early-stopping metric is the validation
+    /// cost q-error (training cost q-error without a split).
+    pub fn train(
+        &self,
+        samples: &[<C::Model as Trainable>::Sample],
+    ) -> <C::Model as Trainable>::Trained {
+        let model = C::Model::from_config(self.model_config);
+        let (model, stats) = fit(
+            model,
+            samples,
+            &self.training_config,
+            "train.epoch_secs",
+            self.tracer.as_ref(),
+        );
+        TrainedArtifact::from_training(model, self.featurizer, stats)
+    }
+
+    /// Incrementally fine-tune an already-trained model on newly observed
+    /// labelled samples, returning a new trained model; `trained` is not
+    /// modified.
+    ///
+    /// This is the one fine-tuning path in the workspace: few-shot
+    /// adaptation ([`few_shot_finetune`]) and the online adaptation loop
+    /// in `zsdb_serve` both run through it.  It is the epoch loop of
+    /// [`Trainer::train`] continued from the trained weights, so
+    /// fine-tuning with 1 thread and with N threads produces
+    /// **bit-identical** weights.
+    pub fn finetune_from<T>(
+        trained: &T,
+        samples: &[<T::Model as Trainable>::Sample],
+        config: FinetuneConfig,
+    ) -> T
+    where
+        T: TrainedArtifact,
+        T::Model: Trainable<Config = C>,
+    {
+        Self::finetune_from_traced(trained, samples, config, None)
+    }
+
+    /// [`Trainer::finetune_from`] emitting one `finetune.epoch_secs`
+    /// event per epoch on the given tracer (wall time, shard-gradient
+    /// time and the epoch's median cost q-error in the detail).  Tracing
+    /// never changes the fine-tuned weights.
+    pub fn finetune_from_traced<T>(
+        trained: &T,
+        samples: &[<T::Model as Trainable>::Sample],
+        config: FinetuneConfig,
+        tracer: Option<&Tracer>,
+    ) -> T
+    where
+        T: TrainedArtifact,
+        T::Model: Trainable<Config = C>,
+    {
+        assert!(!samples.is_empty(), "fine-tuning needs at least one sample");
+        let (model, featurizer) = trained.parts();
+        let (model, stats) = fit(
+            model.clone(),
+            samples,
+            &config.as_training(samples.len()),
+            "finetune.epoch_secs",
+            tracer,
+        );
+        T::from_training(model, featurizer, stats)
+    }
+}
+
+impl Trainer {
     /// Trainer with default hyper-parameters and exact-cardinality
     /// featurization.
     pub fn with_defaults() -> Self {
@@ -249,11 +503,6 @@ impl Trainer {
             TrainingConfig::default(),
             FeaturizerConfig::exact(),
         )
-    }
-
-    /// The trainer's training configuration.
-    pub fn training_config(&self) -> &TrainingConfig {
-        &self.training_config
     }
 
     /// Featurize a multi-database corpus of executions.
@@ -273,224 +522,6 @@ impl Trainer {
             .iter()
             .map(|e| featurize_execution(catalog_of(&e.database), e, self.featurizer))
             .collect()
-    }
-
-    /// Train a model on already-featurized plan graphs (each must carry its
-    /// runtime label) with the batched engine: shuffled mini-batches,
-    /// (level, kind)-batched message passing, deterministic sharded
-    /// gradient accumulation, validation split and early stopping.
-    ///
-    /// Graphs in the validation tail split are evaluated but never trained
-    /// on.
-    pub fn train(&self, graphs: &[PlanGraph]) -> TrainedModel {
-        assert!(
-            graphs.iter().all(|g| g.runtime_secs.is_some()),
-            "all training graphs must carry runtime labels"
-        );
-        let cfg = &self.training_config;
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-
-        // Split into train / validation by index (graphs from the same
-        // database are contiguous in collection order, so a tail split
-        // approximates a database-level holdout).
-        let val_len = ((graphs.len() as f64) * cfg.validation_fraction) as usize;
-        let (train_graphs, val_graphs) = graphs.split_at(graphs.len() - val_len);
-
-        let mut model = ZeroShotCostModel::new(self.model_config);
-        let mut adam = Adam::new(cfg.learning_rate);
-        let threads = cfg.effective_threads();
-        let batch_size = cfg.batch_size.max(1);
-        let microbatch = cfg.microbatch_size.max(1);
-
-        // Worker replicas compute shard gradients against a snapshot of
-        // the current weights.  A single replica is used even when
-        // `threads == 1`, so the reduction structure (zeroed shard buffer
-        // → flat export → ordered add) never depends on the thread count.
-        let mut replicas: Vec<ZeroShotCostModel> =
-            (0..threads.min(batch_size.div_ceil(microbatch)).max(1))
-                .map(|_| model.clone())
-                .collect();
-
-        let mut indices: Vec<usize> = (0..train_graphs.len()).collect();
-        let mut training_curve = Vec::with_capacity(cfg.epochs);
-        let mut validation_curve = Vec::new();
-        let mut best: Option<(f64, ZeroShotCostModel)> = None;
-        let mut epochs_without_improvement = 0usize;
-        let mut stopped_early = false;
-
-        let mut epoch_qerrors: Vec<f64> = Vec::with_capacity(train_graphs.len());
-        for epoch in 0..cfg.epochs {
-            let epoch_started = Instant::now();
-            let mut shard_secs = 0.0f64;
-            indices.shuffle(&mut rng);
-            epoch_qerrors.clear();
-            for step in indices.chunks(batch_size) {
-                let micro_batches: Vec<&[usize]> = step.chunks(microbatch).collect();
-                let shard_started = Instant::now();
-                let shards =
-                    compute_shard_gradients(&model, &mut replicas, train_graphs, &micro_batches);
-                shard_secs += shard_started.elapsed().as_secs_f64();
-                model.zero_grad();
-                for shard in &shards {
-                    model.add_gradients(&shard.gradients);
-                }
-                model.apply_step(&mut adam);
-                for shard in shards {
-                    epoch_qerrors.extend(shard.qerrors);
-                }
-            }
-
-            // Running training metric: the median Q-error of the
-            // predictions made by the epoch's own training forwards (no
-            // separate evaluation pass over the training set).
-            let train_q = median(&epoch_qerrors);
-            training_curve.push(train_q);
-            if let Some(tracer) = &self.tracer {
-                tracer.event(
-                    "train.epoch_secs",
-                    epoch_started.elapsed().as_secs_f64(),
-                    format!(
-                        "epoch {epoch}: median q-error {train_q:.4}, {shard_secs:.6}s in shard gradients"
-                    ),
-                );
-            }
-            let monitored = if val_graphs.is_empty() {
-                train_q
-            } else {
-                let val_q = median_q_error(&model, val_graphs);
-                validation_curve.push(val_q);
-                val_q
-            };
-
-            if cfg.early_stopping_patience > 0 {
-                let improved = best.as_ref().map(|(b, _)| monitored < *b).unwrap_or(true);
-                if improved {
-                    best = Some((monitored, model.clone()));
-                    epochs_without_improvement = 0;
-                } else {
-                    epochs_without_improvement += 1;
-                    if epochs_without_improvement >= cfg.early_stopping_patience {
-                        stopped_early = true;
-                        break;
-                    }
-                }
-            }
-        }
-
-        // With early stopping enabled, return the best-epoch weights.
-        if let Some((_, best_model)) = best {
-            model = best_model;
-        }
-
-        let final_train_qerror = median_q_error(&model, train_graphs);
-        let final_validation_qerror = if val_graphs.is_empty() {
-            None
-        } else {
-            Some(median_q_error(&model, val_graphs))
-        };
-        TrainedModel {
-            model,
-            featurizer: self.featurizer,
-            final_train_qerror,
-            final_validation_qerror,
-            training_curve,
-            validation_curve,
-            stopped_early,
-        }
-    }
-
-    /// Incrementally fine-tune an already-trained model on newly observed
-    /// (labelled) plan graphs, returning a new [`TrainedModel`]; `trained`
-    /// is not modified.
-    ///
-    /// This is the one fine-tuning path in the workspace: few-shot
-    /// adaptation ([`few_shot_finetune`]) and the online adaptation loop
-    /// in `zsdb_serve` both run through it.  It reuses the batched shard
-    /// engine of [`Trainer::train`], so fine-tuning with 1 thread and
-    /// with N threads produces **bit-identical** weights.
-    pub fn finetune_from(
-        trained: &TrainedModel,
-        graphs: &[PlanGraph],
-        config: FinetuneConfig,
-    ) -> TrainedModel {
-        Trainer::finetune_from_traced(trained, graphs, config, None)
-    }
-
-    /// [`Trainer::finetune_from`] emitting one `finetune.epoch_secs`
-    /// event per epoch on the given tracer (wall time, shard-gradient
-    /// time and the epoch's median q-error in the detail).  Tracing never
-    /// changes the fine-tuned weights.
-    pub fn finetune_from_traced(
-        trained: &TrainedModel,
-        graphs: &[PlanGraph],
-        config: FinetuneConfig,
-        tracer: Option<&Tracer>,
-    ) -> TrainedModel {
-        assert!(
-            graphs.iter().all(|g| g.runtime_secs.is_some()),
-            "all fine-tuning graphs must carry runtime labels"
-        );
-        assert!(!graphs.is_empty(), "fine-tuning needs at least one graph");
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let mut model = trained.model.clone();
-        let mut adam = Adam::new(config.learning_rate);
-        let batch_size = if config.batch_size == 0 {
-            graphs.len()
-        } else {
-            config.batch_size.max(1)
-        };
-        let microbatch = config.microbatch_size.max(1);
-        let threads = config.effective_threads();
-        let mut replicas: Vec<ZeroShotCostModel> =
-            (0..threads.min(batch_size.div_ceil(microbatch)).max(1))
-                .map(|_| model.clone())
-                .collect();
-
-        let mut indices: Vec<usize> = (0..graphs.len()).collect();
-        let mut training_curve = Vec::with_capacity(config.epochs);
-        let mut epoch_qerrors: Vec<f64> = Vec::with_capacity(graphs.len());
-        for epoch in 0..config.epochs {
-            let epoch_started = Instant::now();
-            let mut shard_secs = 0.0f64;
-            indices.shuffle(&mut rng);
-            epoch_qerrors.clear();
-            for step in indices.chunks(batch_size) {
-                let micro_batches: Vec<&[usize]> = step.chunks(microbatch).collect();
-                let shard_started = Instant::now();
-                let shards = compute_shard_gradients(&model, &mut replicas, graphs, &micro_batches);
-                shard_secs += shard_started.elapsed().as_secs_f64();
-                model.zero_grad();
-                for shard in &shards {
-                    model.add_gradients(&shard.gradients);
-                }
-                model.apply_step(&mut adam);
-                for shard in shards {
-                    epoch_qerrors.extend(shard.qerrors);
-                }
-            }
-            let epoch_q = median(&epoch_qerrors);
-            training_curve.push(epoch_q);
-            if let Some(tracer) = tracer {
-                tracer.event(
-                    "finetune.epoch_secs",
-                    epoch_started.elapsed().as_secs_f64(),
-                    format!(
-                        "epoch {epoch}: median q-error {epoch_q:.4}, {shard_secs:.6}s in shard gradients"
-                    ),
-                );
-            }
-        }
-
-        let final_train_qerror = median_q_error(&model, graphs);
-        TrainedModel {
-            model,
-            featurizer: trained.featurizer,
-            final_train_qerror,
-            final_validation_qerror: None,
-            training_curve,
-            validation_curve: Vec::new(),
-            stopped_early: false,
-        }
     }
 
     /// The pre-batching reference trainer: one graph at a time through
@@ -556,67 +587,163 @@ impl Trainer {
     }
 }
 
+/// The one batched epoch loop behind [`Trainer::train`] and
+/// [`Trainer::finetune_from`]: shuffle, sharded optimizer steps, one
+/// `event` per epoch on the tracer, validation on the tail split, early
+/// stopping and best-epoch restore.
+fn fit<M: Trainable>(
+    mut model: M,
+    samples: &[M::Sample],
+    cfg: &TrainingConfig,
+    event: &'static str,
+    tracer: Option<&Tracer>,
+) -> (M, TrainingStats<M::Metrics>) {
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+
+    // Split into train / validation by index (samples from the same
+    // database are contiguous in collection order, so a tail split
+    // approximates a database-level holdout).
+    let val_len = ((samples.len() as f64) * cfg.validation_fraction) as usize;
+    let (train, val) = samples.split_at(samples.len() - val_len);
+
+    let mut adam = Adam::new(cfg.learning_rate);
+    let batch_size = cfg.batch_size.max(1);
+    let microbatch = cfg.microbatch_size.max(1);
+
+    // Worker replicas compute shard gradients against a snapshot of the
+    // current weights.  A single replica is used even when `threads == 1`,
+    // so the reduction structure (zeroed shard buffer → flat export →
+    // ordered add) never depends on the thread count.
+    let replica_count = cfg
+        .effective_threads()
+        .min(batch_size.div_ceil(microbatch))
+        .max(1);
+    let mut replicas = vec![model.clone(); replica_count];
+
+    let mut indices: Vec<usize> = (0..train.len()).collect();
+    let mut training_curve = Vec::with_capacity(cfg.epochs);
+    let mut validation_curve = Vec::new();
+    let mut best: Option<(f64, M)> = None;
+    let mut epochs_without_improvement = 0usize;
+    let mut stopped_early = false;
+
+    let mut epoch_qerrors: Vec<Vec<f64>> = vec![Vec::new(); M::TASKS];
+    for epoch in 0..cfg.epochs {
+        let epoch_started = Instant::now();
+        let mut shard_secs = 0.0f64;
+        indices.shuffle(&mut rng);
+        epoch_qerrors.iter_mut().for_each(Vec::clear);
+        for step in indices.chunks(batch_size) {
+            let micro_batches: Vec<&[usize]> = step.chunks(microbatch).collect();
+            let shard_started = Instant::now();
+            let shards = compute_shards(&model, &mut replicas, train, &micro_batches);
+            shard_secs += shard_started.elapsed().as_secs_f64();
+            model.zero_grad();
+            for shard in &shards {
+                model.add_gradients(&shard.gradients);
+            }
+            model.apply_step(&mut adam);
+            for shard in shards {
+                for (epoch_q, shard_q) in epoch_qerrors.iter_mut().zip(shard.qerrors) {
+                    epoch_q.extend(shard_q);
+                }
+            }
+        }
+
+        // Running training metric: the median q-errors of the predictions
+        // made by the epoch's own training forwards (no separate
+        // evaluation pass over the training set).
+        let medians: Vec<f64> = epoch_qerrors.iter().map(|q| median(q)).collect();
+        let train_cost_q = medians[0];
+        training_curve.push(M::metrics(&medians));
+        if let Some(tracer) = tracer {
+            tracer.event(
+                event,
+                epoch_started.elapsed().as_secs_f64(),
+                format!(
+                    "epoch {epoch}: median cost q-error {train_cost_q:.4}, {shard_secs:.6}s in shard gradients"
+                ),
+            );
+        }
+        let monitored = if val.is_empty() {
+            train_cost_q
+        } else {
+            let val_q = task_medians(&model, val)[0];
+            validation_curve.push(val_q);
+            val_q
+        };
+
+        if cfg.early_stopping_patience > 0 {
+            let improved = best.as_ref().map(|(b, _)| monitored < *b).unwrap_or(true);
+            if improved {
+                best = Some((monitored, model.clone()));
+                epochs_without_improvement = 0;
+            } else {
+                epochs_without_improvement += 1;
+                if epochs_without_improvement >= cfg.early_stopping_patience {
+                    stopped_early = true;
+                    break;
+                }
+            }
+        }
+    }
+
+    // With early stopping enabled, return the best-epoch weights.
+    if let Some((_, best_model)) = best {
+        model = best_model;
+    }
+
+    let stats = TrainingStats {
+        final_train: median_qerrors(&model, train),
+        final_validation: (!val.is_empty()).then(|| median_qerrors(&model, val)),
+        training_curve,
+        validation_curve,
+        stopped_early,
+    };
+    (model, stats)
+}
+
 /// One shard's contribution to an optimizer step.
 struct ShardResult {
     /// Flat gradient vector (canonical parameter order).
     gradients: Vec<f64>,
-    /// Q-errors of the shard's training-forward predictions.
-    qerrors: Vec<f64>,
+    /// Per-task q-errors of the shard's training-forward predictions.
+    qerrors: Vec<Vec<f64>>,
 }
 
-/// A model whose weights can be mirrored into per-thread training
-/// replicas — the only capability the generic sharded gradient scheduler
-/// ([`compute_shard_results`]) needs from a model.
+/// Compute every micro-batch shard's flat gradient vector and q-errors,
+/// in shard order, using up to `replicas.len()` worker threads.
 ///
-/// Implemented by the single-head [`ZeroShotCostModel`] and by the
-/// multi-task model in `zsdb_multitask`, so both trainers share one
-/// deterministic data-parallel engine regardless of how many task heads
-/// hang off the encoder.
-pub trait ReplicaSync: Clone + Send {
-    /// Copy the parameter *values* (not gradients or optimizer moments)
-    /// from `src` into `self`.
-    fn sync_weights_from(&mut self, src: &Self);
-}
-
-impl ReplicaSync for ZeroShotCostModel {
-    fn sync_weights_from(&mut self, src: &Self) {
-        self.copy_weights_from(src);
-    }
-}
-
-/// Run `run_shard` over every micro-batch shard, in shard order, using up
-/// to `replicas.len()` worker threads, and return the per-shard results in
-/// ascending shard order.
-///
-/// This is the deterministic data-parallel core shared by every trainer in
-/// the workspace (single-head and multi-task): each shard is computed
-/// against a replica freshly synced to `model`'s weights, work
-/// distribution across threads is dynamic (an atomic cursor), but since
-/// each shard is computed independently and results are returned in shard
-/// order, the *outcome* — and therefore training — does not depend on
-/// which thread computed which shard or how many threads ran.
-///
-/// `run_shard` is expected to zero the replica's gradients, accumulate the
-/// shard and export whatever the trainer reduces (typically a flat
-/// gradient vector plus metrics).
-pub fn compute_shard_results<M, R, F>(
+/// This is the deterministic data-parallel core of the trainer: each
+/// shard is computed against a replica freshly synced to `model`'s
+/// weights, work distribution across threads is dynamic (an atomic
+/// cursor), but since each shard is computed independently and results
+/// are returned in shard order, the *outcome* — and therefore training —
+/// does not depend on which thread computed which shard or how many
+/// threads ran.
+fn compute_shards<M: Trainable>(
     model: &M,
     replicas: &mut [M],
+    samples: &[M::Sample],
     micro_batches: &[&[usize]],
-    run_shard: F,
-) -> Vec<R>
-where
-    M: ReplicaSync,
-    R: Send,
-    F: Fn(&mut M, &[usize]) -> R + Sync,
-{
+) -> Vec<ShardResult> {
+    let run_shard = |replica: &mut M, shard: &[usize]| {
+        let refs: Vec<&M::Sample> = shard.iter().map(|&i| &samples[i]).collect();
+        let mut qerrors = vec![Vec::new(); M::TASKS];
+        replica.zero_grad();
+        replica.accumulate_shard(&refs, &mut qerrors);
+        let mut gradients = Vec::new();
+        replica.export_gradients(&mut gradients);
+        ShardResult { gradients, qerrors }
+    };
+
     // Only the replicas that will actually run a shard need this step's
     // weights (e.g. the final partial mini-batch of an epoch may have a
     // single shard).
     let used = replicas.len().min(micro_batches.len()).max(1);
     let replicas = &mut replicas[..used];
     for replica in replicas.iter_mut() {
-        replica.sync_weights_from(model);
+        replica.copy_weights_from(model);
     }
 
     if replicas.len() <= 1 || micro_batches.len() <= 1 {
@@ -627,7 +754,8 @@ where
             .collect();
     }
 
-    let slots: Mutex<Vec<Option<R>>> = Mutex::new((0..micro_batches.len()).map(|_| None).collect());
+    let slots: Mutex<Vec<Option<ShardResult>>> =
+        Mutex::new((0..micro_batches.len()).map(|_| None).collect());
     let cursor = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for replica in replicas.iter_mut() {
@@ -652,39 +780,26 @@ where
         .collect()
 }
 
-/// Compute the flat gradient vector of every micro-batch shard of the
-/// single-head cost model (see [`compute_shard_results`] for the
-/// scheduling and determinism contract).
-fn compute_shard_gradients(
-    model: &ZeroShotCostModel,
-    replicas: &mut [ZeroShotCostModel],
-    train_graphs: &[PlanGraph],
-    micro_batches: &[&[usize]],
-) -> Vec<ShardResult> {
-    compute_shard_results(model, replicas, micro_batches, |replica, shard| {
-        let refs: Vec<&PlanGraph> = shard.iter().map(|&i| &train_graphs[i]).collect();
-        let targets: Vec<f64> = refs
-            .iter()
-            .map(|g| g.runtime_secs.expect("labelled"))
-            .collect();
-        replica.zero_grad();
-        let backprop = replica.accumulate_gradients_batch(&refs, &targets);
-        let mut gradients = Vec::new();
-        replica.export_gradients(&mut gradients);
-        ShardResult {
-            gradients,
-            qerrors: backprop
-                .predictions
-                .iter()
-                .zip(&targets)
-                .map(|(p, t)| q_error(*p, *t))
-                .collect(),
-        }
-    })
+/// Per-task median q-errors of `model` over `samples`, evaluated through
+/// the batched forward pass in bounded-size chunks.
+fn task_medians<M: Trainable>(model: &M, samples: &[M::Sample]) -> Vec<f64> {
+    let mut qerrors = vec![Vec::new(); M::TASKS];
+    for chunk in samples.chunks(crate::eval::EVAL_CHUNK) {
+        let refs: Vec<&M::Sample> = chunk.iter().collect();
+        model.push_qerrors(&refs, &mut qerrors);
+    }
+    qerrors.iter().map(|q| median(q)).collect()
+}
+
+/// Median q-error of every task of `model` over labelled `samples`,
+/// evaluated through the batched forward pass.
+fn median_qerrors<M: Trainable>(model: &M, samples: &[M::Sample]) -> M::Metrics {
+    M::metrics(&task_medians(model, samples))
 }
 
 /// Median Q-error of a model over labelled graphs, evaluated through the
 /// batched forward pass (bit-identical to per-example prediction).
+/// Unlabelled graphs are skipped.
 pub fn median_q_error(model: &ZeroShotCostModel, graphs: &[PlanGraph]) -> f64 {
     let labelled: Vec<&PlanGraph> = graphs.iter().filter(|g| g.runtime_secs.is_some()).collect();
     let qs: Vec<f64> = crate::eval::batched_predictions(model, &labelled)
@@ -853,45 +968,6 @@ mod tests {
     }
 
     #[test]
-    fn finetune_from_is_thread_count_deterministic() {
-        let graphs = featurized_tiny_corpus();
-        let trainer = Trainer::new(
-            ModelConfig::tiny(),
-            TrainingConfig {
-                epochs: 2,
-                validation_fraction: 0.0,
-                ..TrainingConfig::tiny()
-            },
-            FeaturizerConfig::exact(),
-        );
-        let base = trainer.train(&graphs);
-        let finetune_set = &graphs[..12];
-        let tune = |threads: usize| {
-            Trainer::finetune_from(
-                &base,
-                finetune_set,
-                FinetuneConfig {
-                    epochs: 4,
-                    batch_size: 8,
-                    microbatch_size: 3,
-                    threads,
-                    ..FinetuneConfig::default()
-                },
-            )
-        };
-        let one = tune(1);
-        let two = tune(2);
-        let four = tune(4);
-        assert_eq!(one.model.to_json(), two.model.to_json());
-        assert_eq!(one.model.to_json(), four.model.to_json());
-        assert_eq!(one.training_curve, two.training_curve);
-        // Fine-tuning actually moved the weights.
-        assert_ne!(one.model.to_json(), base.model.to_json());
-        // The input model is untouched and the featurizer rides along.
-        assert_eq!(one.featurizer, base.featurizer);
-    }
-
-    #[test]
     fn finetune_from_improves_fit_on_the_finetuning_set() {
         let graphs = featurized_tiny_corpus();
         let trainer = Trainer::new(
@@ -920,148 +996,6 @@ mod tests {
             tuned.final_train_qerror
         );
         assert_eq!(tuned.training_curve.len(), 25);
-    }
-
-    #[test]
-    fn attached_tracer_records_epochs_without_changing_weights() {
-        let graphs = featurized_tiny_corpus();
-        let trainer = Trainer::new(
-            ModelConfig::tiny(),
-            TrainingConfig {
-                epochs: 3,
-                ..TrainingConfig::tiny()
-            },
-            FeaturizerConfig::exact(),
-        );
-        let tracer = Tracer::new(64);
-        let plain = trainer.train(&graphs);
-        let traced = trainer.clone().with_tracer(tracer.clone()).train(&graphs);
-        assert_eq!(
-            plain.model.to_json(),
-            traced.model.to_json(),
-            "tracing must not perturb training"
-        );
-        let epochs: Vec<_> = tracer
-            .events(16)
-            .into_iter()
-            .filter(|e| e.name == "train.epoch_secs")
-            .collect();
-        assert_eq!(epochs.len(), 3, "one event per epoch");
-        assert!(epochs.iter().all(|e| e.value >= 0.0));
-        assert!(epochs.iter().any(|e| e.detail.contains("shard gradients")));
-
-        let tuned = Trainer::finetune_from_traced(
-            &plain,
-            &graphs[..8],
-            FinetuneConfig {
-                epochs: 2,
-                ..FinetuneConfig::default()
-            },
-            Some(&tracer),
-        );
-        assert_eq!(tuned.training_curve.len(), 2);
-        let finetune_epochs = tracer
-            .events(32)
-            .into_iter()
-            .filter(|e| e.name == "finetune.epoch_secs")
-            .count();
-        assert_eq!(finetune_epochs, 2);
-    }
-
-    #[test]
-    fn trained_model_serialization_roundtrip() {
-        let graphs = featurized_tiny_corpus();
-        let trainer = Trainer::new(
-            ModelConfig::tiny(),
-            TrainingConfig {
-                epochs: 2,
-                ..TrainingConfig::tiny()
-            },
-            FeaturizerConfig::exact(),
-        );
-        let trained = trainer.train(&graphs);
-        let json = trained.to_json();
-        let restored = TrainedModel::from_json(&json).unwrap();
-        assert!((restored.predict(&graphs[0]) - trained.predict(&graphs[0])).abs() < 1e-9);
-        assert_eq!(restored.stopped_early, trained.stopped_early);
-        assert_eq!(restored.training_curve.len(), trained.training_curve.len());
-    }
-
-    #[test]
-    fn one_thread_and_two_thread_training_produce_identical_weights() {
-        // The determinism guarantee of the sharded gradient reduction:
-        // shard boundaries are fixed by `microbatch_size`, shard gradients
-        // are reduced in ascending shard order, so the thread count must
-        // not change a single bit of the trained weights.
-        let graphs = featurized_tiny_corpus();
-        let base = TrainingConfig {
-            epochs: 3,
-            batch_size: 8,
-            microbatch_size: 3,
-            validation_fraction: 0.1,
-            early_stopping_patience: 0,
-            ..TrainingConfig::tiny()
-        };
-        let train_with = |threads: usize| {
-            Trainer::new(
-                ModelConfig::tiny(),
-                TrainingConfig { threads, ..base },
-                FeaturizerConfig::exact(),
-            )
-            .train(&graphs)
-        };
-        let one = train_with(1);
-        let two = train_with(2);
-        let four = train_with(4);
-        assert_eq!(one.model.to_json(), two.model.to_json());
-        assert_eq!(one.model.to_json(), four.model.to_json());
-        for g in graphs.iter().take(10) {
-            assert_eq!(one.predict(g).to_bits(), two.predict(g).to_bits());
-        }
-        assert_eq!(one.training_curve, two.training_curve);
-        assert_eq!(one.validation_curve, two.validation_curve);
-    }
-
-    #[test]
-    fn validation_split_and_early_stopping_work_together() {
-        let graphs = featurized_tiny_corpus();
-        let trainer = Trainer::new(
-            ModelConfig::tiny(),
-            TrainingConfig {
-                epochs: 60,
-                validation_fraction: 0.25,
-                early_stopping_patience: 2,
-                ..TrainingConfig::tiny()
-            },
-            FeaturizerConfig::exact(),
-        );
-        let trained = trainer.train(&graphs);
-
-        // A validation split was carved out and evaluated every epoch.
-        assert_eq!(trained.validation_curve.len(), trained.training_curve.len());
-        let final_val = trained
-            .final_validation_qerror
-            .expect("validation split requested");
-        assert!(final_val.is_finite());
-
-        // The returned weights are the *best* monitored epoch, not the
-        // last one.
-        let best_seen = trained
-            .validation_curve
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min);
-        assert!(
-            (final_val - best_seen).abs() < 1e-12,
-            "returned model should be the best epoch: best {best_seen}, got {final_val}"
-        );
-
-        // With patience 2 over 60 epochs on a tiny corpus, early stopping
-        // fires well before the epoch cap.
-        assert!(
-            trained.stopped_early || trained.training_curve.len() == 60,
-            "curve bookkeeping is consistent"
-        );
     }
 
     #[test]

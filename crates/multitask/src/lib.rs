@@ -16,9 +16,12 @@
 //!   with the per-task labels extracted from a
 //!   [`QueryExecution`](zsdb_engine::QueryExecution).
 //! * [`MultiTaskTrainer`] ([`train`]) — joint training with per-task loss
-//!   weights on the same deterministic sharded mini-batch engine as the
-//!   single-head trainer (`zsdb_core::compute_shard_results`): 1-thread
-//!   and N-thread training produce bit-identical weights.
+//!   weights.  It is the workspace's one trainer,
+//!   [`zsdb_core::Trainer`], over [`MultiTaskConfig`]: the multi-task
+//!   model implements [`zsdb_core::Trainable`], so training and
+//!   fine-tuning run the same epoch loop and deterministic sharded
+//!   mini-batch engine as the single-head model, and 1-thread and
+//!   N-thread training produce bit-identical weights.
 //! * [`LearnedCardEstimator`] ([`estimator`]) — closes the loop: the
 //!   learned cardinality head implements
 //!   [`zsdb_cardest::CardinalityEstimator`], so the System-R optimizer in
@@ -68,4 +71,4 @@ pub use sample::{
     operator_node_indices, sample_from_execution, samples_from_executions, MultiTaskSample,
     TaskTargets,
 };
-pub use train::{task_qerrors, MultiTaskTrainer, TaskQErrors, TrainedMultiTaskModel};
+pub use train::{MultiTaskTrainer, TaskQErrors, TrainedMultiTaskModel};

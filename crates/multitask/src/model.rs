@@ -29,10 +29,13 @@
 //! [`ZeroShotCostModel`]: zsdb_core::ZeroShotCostModel
 
 use crate::sample::{operator_node_indices, MultiTaskSample};
+use crate::train::{TaskQErrors, TrainedMultiTaskModel};
 use serde::{Deserialize, Serialize};
 use zsdb_core::features::{NodeKind, PlanGraph};
-use zsdb_core::{BatchSchedule, InferenceScratch, NodeStates, PlanEncoder, ReplicaSync};
-use zsdb_nn::{Activation, Adam, Batch, Mlp};
+use zsdb_core::{
+    BatchSchedule, InferenceScratch, NodeStates, PlanEncoder, Trainable, TrainableConfig,
+};
+use zsdb_nn::{q_error, Activation, Batch, Mlp, ParamBuf};
 
 /// Hyper-parameters of the multi-task model, including the per-task loss
 /// weights used during joint training.
@@ -201,74 +204,6 @@ impl MultiTaskModel {
             + self.cost_head.num_parameters()
             + self.root_card_head.num_parameters()
             + self.op_card_head.num_parameters()
-    }
-
-    /// Every parameter buffer in canonical order: encoder (kind encoders,
-    /// then combine), then the heads in [`TaskHead::ALL`] order.  This
-    /// order defines the flat-gradient layout of the deterministic shard
-    /// reduction.
-    fn all_params(&self) -> Vec<&zsdb_nn::ParamBuf> {
-        let mut params = self.encoder.params();
-        params.extend(self.cost_head.params());
-        params.extend(self.root_card_head.params());
-        params.extend(self.op_card_head.params());
-        params
-    }
-
-    /// Mutable counterpart of [`MultiTaskModel::all_params`], same order.
-    fn all_params_mut(&mut self) -> Vec<&mut zsdb_nn::ParamBuf> {
-        let mut params = self.encoder.params_mut();
-        params.extend(self.cost_head.params_mut());
-        params.extend(self.root_card_head.params_mut());
-        params.extend(self.op_card_head.params_mut());
-        params
-    }
-
-    /// Zero all parameter gradients.
-    pub fn zero_grad(&mut self) {
-        self.encoder.zero_grad();
-        self.cost_head.zero_grad();
-        self.root_card_head.zero_grad();
-        self.op_card_head.zero_grad();
-    }
-
-    /// Apply one optimizer step over all parameters.
-    pub fn apply_step(&mut self, adam: &mut Adam) {
-        adam.step(&mut self.all_params_mut());
-    }
-
-    /// Export the accumulated gradients as one flat vector in canonical
-    /// parameter order (cleared and refilled).
-    pub fn export_gradients(&self, out: &mut Vec<f64>) {
-        out.clear();
-        for p in self.all_params() {
-            out.extend_from_slice(&p.grad);
-        }
-    }
-
-    /// Add a flat gradient vector (as produced by
-    /// [`MultiTaskModel::export_gradients`]) onto this model's gradient
-    /// buffers.
-    pub fn add_gradients(&mut self, flat: &[f64]) {
-        let mut offset = 0;
-        for p in self.all_params_mut() {
-            let len = p.grad.len();
-            for (g, v) in p.grad.iter_mut().zip(&flat[offset..offset + len]) {
-                *g += v;
-            }
-            offset += len;
-        }
-        assert_eq!(offset, flat.len(), "flat gradient length mismatch");
-    }
-
-    /// Copy the parameter *values* from `src` (allocation-free).
-    pub fn copy_weights_from(&mut self, src: &Self) {
-        let from = src.all_params();
-        let dst = self.all_params_mut();
-        assert_eq!(dst.len(), from.len(), "model shapes differ");
-        for (d, s) in dst.into_iter().zip(from) {
-            d.data.copy_from_slice(&s.data);
-        }
     }
 
     /// Flat node ids of every plan-operator node across the mini-batch,
@@ -478,9 +413,75 @@ impl MultiTaskModel {
     }
 }
 
-impl ReplicaSync for MultiTaskModel {
-    fn sync_weights_from(&mut self, src: &Self) {
-        self.copy_weights_from(src);
+impl TrainableConfig for MultiTaskConfig {
+    type Model = MultiTaskModel;
+}
+
+/// Push the per-task q-errors of `predictions` against their samples onto
+/// `qerrors` (cost, root cardinality, operator cardinality).
+///
+/// Cardinality q-errors are computed on `1 + rows` (the same `ln(1+·)`
+/// smoothing the training targets use), so empty intermediate results do
+/// not blow the ratio up to the `1e-9` floor.
+fn push_task_qerrors(
+    predictions: &[MultiTaskPrediction],
+    samples: &[&MultiTaskSample],
+    qerrors: &mut [Vec<f64>],
+) {
+    for (p, s) in predictions.iter().zip(samples) {
+        qerrors[0].push(q_error(p.runtime_secs, s.targets.runtime_secs));
+        qerrors[1].push(q_error(p.root_rows + 1.0, s.targets.root_rows + 1.0));
+        for (pr, ar) in p.operator_rows.iter().zip(&s.targets.operator_rows) {
+            qerrors[2].push(q_error(pr + 1.0, ar + 1.0));
+        }
+    }
+}
+
+impl Trainable for MultiTaskModel {
+    type Config = MultiTaskConfig;
+    type Sample = MultiTaskSample;
+    type Metrics = TaskQErrors;
+    type Trained = TrainedMultiTaskModel;
+    const TASKS: usize = 3;
+
+    fn from_config(config: MultiTaskConfig) -> Self {
+        MultiTaskModel::new(config)
+    }
+
+    /// The encoder (kind encoders, then combine), then the heads in
+    /// [`TaskHead::ALL`] order.
+    fn all_params(&self) -> Vec<&ParamBuf> {
+        let mut params = self.encoder.params();
+        params.extend(self.cost_head.params());
+        params.extend(self.root_card_head.params());
+        params.extend(self.op_card_head.params());
+        params
+    }
+
+    fn all_params_mut(&mut self) -> Vec<&mut ParamBuf> {
+        let mut params = self.encoder.params_mut();
+        params.extend(self.cost_head.params_mut());
+        params.extend(self.root_card_head.params_mut());
+        params.extend(self.op_card_head.params_mut());
+        params
+    }
+
+    fn accumulate_shard(&mut self, samples: &[&MultiTaskSample], qerrors: &mut [Vec<f64>]) {
+        let backprop = self.accumulate_gradients_batch(samples);
+        push_task_qerrors(&backprop.predictions, samples, qerrors);
+    }
+
+    fn push_qerrors(&self, samples: &[&MultiTaskSample], qerrors: &mut [Vec<f64>]) {
+        let graphs: Vec<&PlanGraph> = samples.iter().map(|s| &s.graph).collect();
+        push_task_qerrors(&self.predict_batch(&graphs), samples, qerrors);
+    }
+
+    fn metrics(medians: &[f64]) -> TaskQErrors {
+        TaskQErrors {
+            cost: medians[0],
+            root_card: medians[1],
+            op_card: medians[2],
+        }
     }
 }
 
@@ -491,6 +492,7 @@ mod tests {
     use zsdb_catalog::presets;
     use zsdb_core::features::FeaturizerConfig;
     use zsdb_engine::QueryRunner;
+    use zsdb_nn::Adam;
     use zsdb_query::WorkloadGenerator;
     use zsdb_storage::Database;
 

@@ -1,27 +1,26 @@
-//! Joint training of multi-task models on the deterministic sharded
-//! mini-batch engine.
+//! Joint training of multi-task models.
 //!
-//! The loop mirrors the single-task batched trainer in `zsdb_core`
-//! ([`zsdb_core::Trainer::train`]) and runs on the *same* generic shard
-//! scheduler ([`zsdb_core::compute_shard_results`]): every optimizer step
-//! forwards a shuffled mini-batch through the shared encoder once, splits
-//! it into fixed-size micro-batch shards whose joint-loss gradients are
-//! computed independently (optionally on worker threads) and reduced in
-//! ascending shard order.  Shard boundaries depend only on the
-//! configuration — never on the thread count — so 1-thread and N-thread
-//! training produce **bit-identical** weights.
+//! There is no multi-task training loop: [`MultiTaskTrainer`] is
+//! [`zsdb_core::Trainer`] over [`MultiTaskConfig`], the one epoch loop of
+//! the workspace, running on the same deterministic sharded mini-batch
+//! engine as the single-task model.  Every optimizer step forwards a
+//! shuffled mini-batch through the shared encoder once, splits it into
+//! fixed-size micro-batch shards whose joint-loss gradients are computed
+//! independently (optionally on worker threads) and reduced in ascending
+//! shard order.  Shard boundaries depend only on the configuration —
+//! never on the thread count — so 1-thread and N-thread training produce
+//! **bit-identical** weights.  Fine-tuning
+//! ([`Trainer::finetune_from`](zsdb_core::Trainer::finetune_from)) is the
+//! same loop continued from trained weights.
+//!
+//! This module holds what is multi-task about training: the per-task
+//! q-error metrics and the trained artifact.  The joint loss itself is
+//! [`MultiTaskModel::accumulate_gradients_batch`].
 
 use crate::model::{MultiTaskConfig, MultiTaskModel, MultiTaskPrediction};
-use crate::sample::MultiTaskSample;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 use zsdb_core::features::{FeaturizerConfig, PlanGraph};
-use zsdb_core::{compute_shard_results, FinetuneConfig, TrainingConfig};
-use zsdb_nn::{median, q_error, Adam};
-use zsdb_obs::Tracer;
+use zsdb_core::{TrainedArtifact, Trainer, TrainingStats};
 
 /// Median q-error of every task head over one evaluation set.
 ///
@@ -37,41 +36,6 @@ pub struct TaskQErrors {
     /// Median q-error of the per-operator cardinality head (over all
     /// operators of all plans).
     pub op_card: f64,
-}
-
-/// Per-task q-errors of a batch of predictions against their samples.
-fn collect_qerrors(
-    predictions: &[MultiTaskPrediction],
-    samples: &[&MultiTaskSample],
-    cost: &mut Vec<f64>,
-    root: &mut Vec<f64>,
-    op: &mut Vec<f64>,
-) {
-    for (p, s) in predictions.iter().zip(samples) {
-        cost.push(q_error(p.runtime_secs, s.targets.runtime_secs));
-        root.push(q_error(p.root_rows + 1.0, s.targets.root_rows + 1.0));
-        for (pr, ar) in p.operator_rows.iter().zip(&s.targets.operator_rows) {
-            op.push(q_error(pr + 1.0, ar + 1.0));
-        }
-    }
-}
-
-/// Median q-error of every head over `samples`, evaluated through the
-/// batched forward pass in bounded-size chunks.
-pub fn task_qerrors(model: &MultiTaskModel, samples: &[MultiTaskSample]) -> TaskQErrors {
-    const EVAL_CHUNK: usize = 256;
-    let (mut cost, mut root, mut op) = (Vec::new(), Vec::new(), Vec::new());
-    for chunk in samples.chunks(EVAL_CHUNK) {
-        let refs: Vec<&MultiTaskSample> = chunk.iter().collect();
-        let graphs: Vec<&PlanGraph> = refs.iter().map(|s| &s.graph).collect();
-        let predictions = model.predict_batch(&graphs);
-        collect_qerrors(&predictions, &refs, &mut cost, &mut root, &mut op);
-    }
-    TaskQErrors {
-        cost: median(&cost),
-        root_card: median(&root),
-        op_card: median(&op),
-    }
 }
 
 /// A trained multi-task model together with its featurizer configuration
@@ -121,371 +85,383 @@ impl TrainedMultiTaskModel {
     }
 }
 
-/// Trainer for multi-task zero-shot models.
-#[derive(Debug, Clone)]
-pub struct MultiTaskTrainer {
-    model_config: MultiTaskConfig,
-    training_config: TrainingConfig,
-    featurizer: FeaturizerConfig,
-    tracer: Option<Tracer>,
-}
+impl TrainedArtifact for TrainedMultiTaskModel {
+    type Model = MultiTaskModel;
 
-/// One shard's contribution to a joint optimizer step.
-struct ShardResult {
-    gradients: Vec<f64>,
-    cost_qerrors: Vec<f64>,
-    root_qerrors: Vec<f64>,
-    op_qerrors: Vec<f64>,
-}
-
-/// Per-epoch accumulator of the q-errors observed by the epoch's own
-/// training forwards, one bucket per task head.
-#[derive(Default)]
-struct EpochQErrors {
-    cost: Vec<f64>,
-    root: Vec<f64>,
-    op: Vec<f64>,
-}
-
-impl EpochQErrors {
-    fn clear(&mut self) {
-        self.cost.clear();
-        self.root.clear();
-        self.op.clear();
-    }
-
-    fn medians(&self) -> TaskQErrors {
-        TaskQErrors {
-            cost: median(&self.cost),
-            root_card: median(&self.root),
-            op_card: median(&self.op),
-        }
-    }
-}
-
-/// One optimizer step of the joint loss, shared by [`MultiTaskTrainer::train`]
-/// and [`MultiTaskTrainer::finetune_from`]: split `step` into micro-batch
-/// shards, compute each shard's gradients on the deterministic scheduler
-/// ([`compute_shard_results`]), reduce them in ascending shard order,
-/// apply Adam, and collect the step's per-task training q-errors.
-fn joint_optimizer_step(
-    model: &mut MultiTaskModel,
-    adam: &mut Adam,
-    replicas: &mut [MultiTaskModel],
-    samples: &[MultiTaskSample],
-    step: &[usize],
-    microbatch: usize,
-    epoch: &mut EpochQErrors,
-) {
-    let micro_batches: Vec<&[usize]> = step.chunks(microbatch).collect();
-    let shards = compute_shard_results(model, replicas, &micro_batches, |replica, shard| {
-        let refs: Vec<&MultiTaskSample> = shard.iter().map(|&i| &samples[i]).collect();
-        replica.zero_grad();
-        let backprop = replica.accumulate_gradients_batch(&refs);
-        let mut gradients = Vec::new();
-        replica.export_gradients(&mut gradients);
-        let (mut cost, mut root, mut op) = (Vec::new(), Vec::new(), Vec::new());
-        collect_qerrors(&backprop.predictions, &refs, &mut cost, &mut root, &mut op);
-        ShardResult {
-            gradients,
-            cost_qerrors: cost,
-            root_qerrors: root,
-            op_qerrors: op,
-        }
-    });
-    model.zero_grad();
-    for shard in &shards {
-        model.add_gradients(&shard.gradients);
-    }
-    model.apply_step(adam);
-    for shard in shards {
-        epoch.cost.extend(shard.cost_qerrors);
-        epoch.root.extend(shard.root_qerrors);
-        epoch.op.extend(shard.op_qerrors);
-    }
-}
-
-impl MultiTaskTrainer {
-    /// Create a trainer.  The `TrainingConfig` is the same type the
-    /// single-task trainer uses — epochs, batch and micro-batch sizes,
-    /// threads, validation split and early stopping all mean the same
-    /// thing.
-    pub fn new(
-        model_config: MultiTaskConfig,
-        training_config: TrainingConfig,
+    fn from_training(
+        model: MultiTaskModel,
         featurizer: FeaturizerConfig,
+        stats: TrainingStats<TaskQErrors>,
     ) -> Self {
-        MultiTaskTrainer {
-            model_config,
-            training_config,
+        TrainedMultiTaskModel {
+            model,
             featurizer,
-            tracer: None,
+            final_train_qerrors: stats.final_train,
+            final_validation_qerrors: stats.final_validation,
+            training_curve: stats.training_curve,
+            validation_curve: stats.validation_curve,
+            stopped_early: stats.stopped_early,
         }
     }
 
-    /// Attach a [`Tracer`]: [`MultiTaskTrainer::train`] then emits one
-    /// `train.epoch_secs` event per epoch (wall time, shard-gradient time
-    /// and the epoch's median cost q-error in the detail), mirroring
-    /// [`zsdb_core::Trainer::with_tracer`].  Tracing never changes the
-    /// trained weights.
-    #[must_use]
-    pub fn with_tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = Some(tracer);
-        self
-    }
-
-    /// The trainer's training configuration.
-    pub fn training_config(&self) -> &TrainingConfig {
-        &self.training_config
-    }
-
-    /// The trainer's featurizer configuration.
-    pub fn featurizer(&self) -> FeaturizerConfig {
-        self.featurizer
-    }
-
-    /// Jointly train all task heads on multi-task samples.
-    ///
-    /// Graphs in the validation tail split are evaluated but never trained
-    /// on; the monitored early-stopping metric is the validation cost
-    /// q-error (training cost q-error without a split), matching the
-    /// single-task trainer's convention.
-    pub fn train(&self, samples: &[MultiTaskSample]) -> TrainedMultiTaskModel {
-        let cfg = &self.training_config;
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-
-        let val_len = ((samples.len() as f64) * cfg.validation_fraction) as usize;
-        let (train_samples, val_samples) = samples.split_at(samples.len() - val_len);
-
-        let mut model = MultiTaskModel::new(self.model_config);
-        let mut adam = Adam::new(cfg.learning_rate);
-        let threads = cfg.effective_threads();
-        let batch_size = cfg.batch_size.max(1);
-        let microbatch = cfg.microbatch_size.max(1);
-
-        let mut replicas: Vec<MultiTaskModel> =
-            (0..threads.min(batch_size.div_ceil(microbatch)).max(1))
-                .map(|_| model.clone())
-                .collect();
-
-        let mut indices: Vec<usize> = (0..train_samples.len()).collect();
-        let mut training_curve = Vec::with_capacity(cfg.epochs);
-        let mut validation_curve = Vec::new();
-        let mut best: Option<(f64, MultiTaskModel)> = None;
-        let mut epochs_without_improvement = 0usize;
-        let mut stopped_early = false;
-
-        let mut epoch = EpochQErrors::default();
-        for epoch_idx in 0..cfg.epochs {
-            let epoch_started = Instant::now();
-            let mut shard_secs = 0.0f64;
-            indices.shuffle(&mut rng);
-            epoch.clear();
-            for step in indices.chunks(batch_size) {
-                let step_started = Instant::now();
-                joint_optimizer_step(
-                    &mut model,
-                    &mut adam,
-                    &mut replicas,
-                    train_samples,
-                    step,
-                    microbatch,
-                    &mut epoch,
-                );
-                shard_secs += step_started.elapsed().as_secs_f64();
-            }
-
-            let train_q = epoch.medians();
-            training_curve.push(train_q);
-            if let Some(tracer) = &self.tracer {
-                tracer.event(
-                    "train.epoch_secs",
-                    epoch_started.elapsed().as_secs_f64(),
-                    format!(
-                        "epoch {epoch_idx}: median cost q-error {:.4}, {shard_secs:.6}s in sharded optimizer steps",
-                        train_q.cost
-                    ),
-                );
-            }
-            let monitored = if val_samples.is_empty() {
-                train_q.cost
-            } else {
-                let val_q = task_qerrors(&model, val_samples).cost;
-                validation_curve.push(val_q);
-                val_q
-            };
-
-            if cfg.early_stopping_patience > 0 {
-                let improved = best.as_ref().map(|(b, _)| monitored < *b).unwrap_or(true);
-                if improved {
-                    best = Some((monitored, model.clone()));
-                    epochs_without_improvement = 0;
-                } else {
-                    epochs_without_improvement += 1;
-                    if epochs_without_improvement >= cfg.early_stopping_patience {
-                        stopped_early = true;
-                        break;
-                    }
-                }
-            }
-        }
-
-        if let Some((_, best_model)) = best {
-            model = best_model;
-        }
-
-        let final_train_qerrors = task_qerrors(&model, train_samples);
-        let final_validation_qerrors = if val_samples.is_empty() {
-            None
-        } else {
-            Some(task_qerrors(&model, val_samples))
-        };
-        TrainedMultiTaskModel {
-            model,
-            featurizer: self.featurizer,
-            final_train_qerrors,
-            final_validation_qerrors,
-            training_curve,
-            validation_curve,
-            stopped_early,
-        }
-    }
-
-    /// Incrementally fine-tune an already-trained multi-task model on
-    /// newly observed samples, returning a new [`TrainedMultiTaskModel`];
-    /// `trained` is not modified.
-    ///
-    /// Mirrors [`zsdb_core::Trainer::finetune_from`] — the same
-    /// [`FinetuneConfig`], the same full-batch default, and the same
-    /// deterministic shard engine, so fine-tuning with 1 thread and with
-    /// N threads produces **bit-identical** weights for every head.
-    pub fn finetune_from(
-        trained: &TrainedMultiTaskModel,
-        samples: &[MultiTaskSample],
-        config: FinetuneConfig,
-    ) -> TrainedMultiTaskModel {
-        MultiTaskTrainer::finetune_from_traced(trained, samples, config, None)
-    }
-
-    /// [`MultiTaskTrainer::finetune_from`] emitting one
-    /// `finetune.epoch_secs` event per epoch on the given tracer,
-    /// mirroring [`zsdb_core::Trainer::finetune_from_traced`].  Tracing
-    /// never changes the fine-tuned weights.
-    pub fn finetune_from_traced(
-        trained: &TrainedMultiTaskModel,
-        samples: &[MultiTaskSample],
-        config: FinetuneConfig,
-        tracer: Option<&Tracer>,
-    ) -> TrainedMultiTaskModel {
-        assert!(!samples.is_empty(), "fine-tuning needs at least one sample");
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let mut model = trained.model.clone();
-        let mut adam = Adam::new(config.learning_rate);
-        let batch_size = if config.batch_size == 0 {
-            samples.len()
-        } else {
-            config.batch_size.max(1)
-        };
-        let microbatch = config.microbatch_size.max(1);
-        let threads = config.effective_threads();
-        let mut replicas: Vec<MultiTaskModel> =
-            (0..threads.min(batch_size.div_ceil(microbatch)).max(1))
-                .map(|_| model.clone())
-                .collect();
-
-        let mut indices: Vec<usize> = (0..samples.len()).collect();
-        let mut training_curve = Vec::with_capacity(config.epochs);
-        let mut epoch = EpochQErrors::default();
-        for epoch_idx in 0..config.epochs {
-            let epoch_started = Instant::now();
-            let mut shard_secs = 0.0f64;
-            indices.shuffle(&mut rng);
-            epoch.clear();
-            for step in indices.chunks(batch_size) {
-                let step_started = Instant::now();
-                joint_optimizer_step(
-                    &mut model,
-                    &mut adam,
-                    &mut replicas,
-                    samples,
-                    step,
-                    microbatch,
-                    &mut epoch,
-                );
-                shard_secs += step_started.elapsed().as_secs_f64();
-            }
-            let epoch_q = epoch.medians();
-            training_curve.push(epoch_q);
-            if let Some(tracer) = tracer {
-                tracer.event(
-                    "finetune.epoch_secs",
-                    epoch_started.elapsed().as_secs_f64(),
-                    format!(
-                        "epoch {epoch_idx}: median cost q-error {:.4}, {shard_secs:.6}s in sharded optimizer steps",
-                        epoch_q.cost
-                    ),
-                );
-            }
-        }
-
-        let final_train_qerrors = task_qerrors(&model, samples);
-        TrainedMultiTaskModel {
-            model,
-            featurizer: trained.featurizer,
-            final_train_qerrors,
-            final_validation_qerrors: None,
-            training_curve,
-            validation_curve: Vec::new(),
-            stopped_early: false,
-        }
+    fn parts(&self) -> (&MultiTaskModel, FeaturizerConfig) {
+        (&self.model, self.featurizer)
     }
 }
+
+/// Trainer of multi-task models: the generic [`zsdb_core::Trainer`] over
+/// [`MultiTaskConfig`].  Its `TrainingConfig` and `FinetuneConfig` mean
+/// exactly what they mean for the single-task model.
+pub type MultiTaskTrainer = Trainer<MultiTaskConfig>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sample::sample_from_execution;
+    use crate::MultiTaskSample;
     use zsdb_catalog::presets;
+    use zsdb_core::dataset::{collect_training_corpus, TrainingDataConfig};
+    use zsdb_core::{
+        FinetuneConfig, ModelConfig, Trainable, TrainableConfig, TrainedModel, TrainingConfig,
+    };
     use zsdb_engine::QueryRunner;
+    use zsdb_obs::Tracer;
     use zsdb_query::WorkloadGenerator;
     use zsdb_storage::Database;
 
-    fn tiny_samples() -> Vec<MultiTaskSample> {
-        let mut samples = Vec::new();
-        for seed in [3u64, 4] {
-            let db = Database::generate(presets::imdb_like(0.02), seed);
-            let runner = QueryRunner::with_defaults(&db);
-            let queries = WorkloadGenerator::with_defaults().generate(db.catalog(), 30, seed);
-            samples.extend(
-                runner
-                    .run_workload(&queries, 0)
-                    .iter()
-                    .map(|e| sample_from_execution(db.catalog(), e, FeaturizerConfig::estimated())),
-            );
-        }
-        samples
+    type Sample<T> = <<T as TrainedArtifact>::Model as Trainable>::Sample;
+
+    /// A trained artifact the trainer behaviour tests below run against:
+    /// its model configuration and tiny corpus, plus every bit the tests
+    /// compare.
+    trait Fixture: TrainedArtifact + Sized {
+        /// The configuration [`Trainer`] is generic over.
+        type Config: TrainableConfig<Model = Self::Model>;
+        /// A tiny trainer with the given training loop.
+        fn trainer(training: TrainingConfig) -> Trainer<Self::Config>;
+        /// The tiny labelled corpus.
+        fn samples() -> Vec<Sample<Self>>;
+        /// JSON of the model weights alone.
+        fn model_json(&self) -> String;
+        /// JSON of the whole artifact.
+        fn to_json(&self) -> String;
+        /// Restore from [`Fixture::to_json`].
+        fn from_json(json: &str) -> Self;
+        /// Every output bit of every head for one sample.
+        fn bits(&self, sample: &Sample<Self>) -> Vec<u64>;
+        /// Per-epoch per-task training q-errors.
+        fn training_curve(&self) -> Vec<Vec<f64>>;
+        /// Per-epoch validation cost q-errors.
+        fn validation_curve(&self) -> &[f64];
+        /// Final validation cost q-error.
+        fn final_validation_cost(&self) -> Option<f64>;
+        /// Whether early stopping fired.
+        fn stopped_early(&self) -> bool;
     }
 
-    fn tiny_training_config() -> TrainingConfig {
-        TrainingConfig {
-            epochs: 20,
-            batch_size: 8,
-            microbatch_size: 4,
-            validation_fraction: 0.0,
-            early_stopping_patience: 0,
-            ..TrainingConfig::default()
+    impl Fixture for TrainedModel {
+        type Config = ModelConfig;
+
+        fn trainer(training: TrainingConfig) -> Trainer {
+            Trainer::new(ModelConfig::tiny(), training, FeaturizerConfig::exact())
+        }
+
+        fn samples() -> Vec<PlanGraph> {
+            let config = TrainingDataConfig::tiny();
+            let corpus = collect_training_corpus(&config);
+            // Rebuild the catalogs the corpus was generated from.
+            let schemas = zsdb_catalog::SchemaGenerator::new(config.schema_config.clone())
+                .generate_corpus("train", config.num_databases, config.seed);
+            Self::trainer(TrainingConfig::tiny()).featurize_corpus(&corpus, |name| {
+                schemas
+                    .iter()
+                    .find(|s| s.name == name)
+                    .expect("catalog for corpus database")
+            })
+        }
+
+        fn model_json(&self) -> String {
+            self.model.to_json()
+        }
+
+        fn to_json(&self) -> String {
+            TrainedModel::to_json(self)
+        }
+
+        fn from_json(json: &str) -> Self {
+            TrainedModel::from_json(json).unwrap()
+        }
+
+        fn bits(&self, graph: &PlanGraph) -> Vec<u64> {
+            vec![self.predict(graph).to_bits()]
+        }
+
+        fn training_curve(&self) -> Vec<Vec<f64>> {
+            self.training_curve.iter().map(|&q| vec![q]).collect()
+        }
+
+        fn validation_curve(&self) -> &[f64] {
+            &self.validation_curve
+        }
+
+        fn final_validation_cost(&self) -> Option<f64> {
+            self.final_validation_qerror
+        }
+
+        fn stopped_early(&self) -> bool {
+            self.stopped_early
         }
     }
+
+    impl Fixture for TrainedMultiTaskModel {
+        type Config = MultiTaskConfig;
+
+        fn trainer(training: TrainingConfig) -> MultiTaskTrainer {
+            MultiTaskTrainer::new(
+                MultiTaskConfig::tiny(),
+                training,
+                FeaturizerConfig::estimated(),
+            )
+        }
+
+        fn samples() -> Vec<MultiTaskSample> {
+            let mut samples = Vec::new();
+            for seed in [3u64, 4] {
+                let db = Database::generate(presets::imdb_like(0.02), seed);
+                let runner = QueryRunner::with_defaults(&db);
+                let queries = WorkloadGenerator::with_defaults().generate(db.catalog(), 30, seed);
+                samples.extend(runner.run_workload(&queries, 0).iter().map(|e| {
+                    sample_from_execution(db.catalog(), e, FeaturizerConfig::estimated())
+                }));
+            }
+            samples
+        }
+
+        fn model_json(&self) -> String {
+            self.model.to_json()
+        }
+
+        fn to_json(&self) -> String {
+            TrainedMultiTaskModel::to_json(self)
+        }
+
+        fn from_json(json: &str) -> Self {
+            TrainedMultiTaskModel::from_json(json).unwrap()
+        }
+
+        fn bits(&self, sample: &MultiTaskSample) -> Vec<u64> {
+            let p = self.predict(&sample.graph);
+            let heads = [p.runtime_secs, p.root_rows].into_iter();
+            heads.chain(p.operator_rows).map(f64::to_bits).collect()
+        }
+
+        fn training_curve(&self) -> Vec<Vec<f64>> {
+            let curve = self.training_curve.iter();
+            curve
+                .map(|q| vec![q.cost, q.root_card, q.op_card])
+                .collect()
+        }
+
+        fn validation_curve(&self) -> &[f64] {
+            &self.validation_curve
+        }
+
+        fn final_validation_cost(&self) -> Option<f64> {
+            self.final_validation_qerrors.map(|q| q.cost)
+        }
+
+        fn stopped_early(&self) -> bool {
+            self.stopped_early
+        }
+    }
+
+    /// The shard boundaries are fixed by `microbatch_size` and shard
+    /// gradients are reduced in ascending shard order, so the thread count
+    /// must not change a single bit of the trained weights, curves or
+    /// predictions.
+    fn training_is_thread_count_deterministic<T: Fixture>() {
+        let samples = T::samples();
+        let base = TrainingConfig {
+            epochs: 3,
+            batch_size: 8,
+            microbatch_size: 3,
+            validation_fraction: 0.1,
+            early_stopping_patience: 0,
+            ..TrainingConfig::tiny()
+        };
+        let train_with = |threads| T::trainer(TrainingConfig { threads, ..base }).train(&samples);
+        let [one, two, four] = [1, 2, 4].map(train_with);
+        for other in [&two, &four] {
+            assert_eq!(one.model_json(), other.model_json());
+            assert_eq!(one.training_curve(), other.training_curve());
+            assert_eq!(one.validation_curve(), other.validation_curve());
+            for s in samples.iter().take(10) {
+                assert_eq!(one.bits(s), other.bits(s));
+            }
+        }
+        assert_eq!(one.validation_curve().len(), 3);
+    }
+
+    /// Fine-tuning runs the same sharded engine: 1, 2 and 4 threads give
+    /// the same bits, the weights move, and the featurizer rides along.
+    fn finetuning_is_thread_count_deterministic<T: Fixture>() {
+        let samples = T::samples();
+        let base = T::trainer(TrainingConfig {
+            epochs: 2,
+            ..TrainingConfig::tiny()
+        })
+        .train(&samples);
+        let finetune_set = &samples[..12];
+        let tune = |threads| {
+            Trainer::finetune_from(
+                &base,
+                finetune_set,
+                FinetuneConfig {
+                    epochs: 4,
+                    batch_size: 8,
+                    microbatch_size: 3,
+                    threads,
+                    ..FinetuneConfig::default()
+                },
+            )
+        };
+        let [one, two, four] = [1, 2, 4].map(tune);
+        for other in [&two, &four] {
+            assert_eq!(one.model_json(), other.model_json());
+            assert_eq!(one.training_curve(), other.training_curve());
+            for s in finetune_set {
+                assert_eq!(one.bits(s), other.bits(s));
+            }
+        }
+        assert_eq!(one.training_curve().len(), 4);
+        assert_ne!(one.model_json(), base.model_json());
+        assert_eq!(one.parts().1, base.parts().1);
+    }
+
+    /// A tracer records one event per epoch of training and of
+    /// fine-tuning, and never changes the weights.
+    fn tracer_records_epochs_without_changing_weights<T: Fixture>() {
+        let samples = T::samples();
+        let trainer = T::trainer(TrainingConfig {
+            epochs: 3,
+            ..TrainingConfig::tiny()
+        });
+        let tracer = Tracer::new(64);
+        let plain = trainer.train(&samples);
+        let traced = trainer.clone().with_tracer(tracer.clone()).train(&samples);
+        assert_eq!(
+            plain.model_json(),
+            traced.model_json(),
+            "tracing must not perturb training"
+        );
+        let epochs: Vec<_> = tracer
+            .events(16)
+            .into_iter()
+            .filter(|e| e.name == "train.epoch_secs")
+            .collect();
+        assert_eq!(epochs.len(), 3, "one event per epoch");
+        assert!(epochs.iter().all(|e| e.value >= 0.0));
+        assert!(epochs.iter().all(|e| e.detail.contains("shard gradients")));
+
+        let config = FinetuneConfig {
+            epochs: 2,
+            ..FinetuneConfig::default()
+        };
+        let untraced = Trainer::finetune_from(&plain, &samples[..8], config);
+        let tuned = Trainer::finetune_from_traced(&plain, &samples[..8], config, Some(&tracer));
+        assert_eq!(tuned.model_json(), untraced.model_json());
+        assert_eq!(tuned.training_curve().len(), 2);
+        let finetune_epochs = tracer
+            .events(32)
+            .into_iter()
+            .filter(|e| e.name == "finetune.epoch_secs")
+            .count();
+        assert_eq!(finetune_epochs, 2);
+    }
+
+    /// A trained artifact survives a JSON round trip bit for bit.
+    fn serialization_roundtrips<T: Fixture>() {
+        let samples = T::samples();
+        let trained = T::trainer(TrainingConfig {
+            epochs: 2,
+            ..TrainingConfig::tiny()
+        })
+        .train(&samples);
+        let restored = T::from_json(&trained.to_json());
+        for s in samples.iter().take(5) {
+            assert_eq!(restored.bits(s), trained.bits(s));
+        }
+        assert_eq!(restored.parts().1, trained.parts().1);
+        assert_eq!(restored.stopped_early(), trained.stopped_early());
+        assert_eq!(restored.training_curve(), trained.training_curve());
+        assert_eq!(restored.validation_curve(), trained.validation_curve());
+    }
+
+    /// A validation split is evaluated every epoch, and with early
+    /// stopping the returned weights are the best monitored epoch's.
+    fn validation_and_early_stopping_return_the_best_epoch<T: Fixture>() {
+        let samples = T::samples();
+        let trained = T::trainer(TrainingConfig {
+            epochs: 60,
+            validation_fraction: 0.25,
+            early_stopping_patience: 2,
+            ..TrainingConfig::tiny()
+        })
+        .train(&samples);
+        let epochs = trained.training_curve().len();
+        assert_eq!(trained.validation_curve().len(), epochs);
+        let final_val = trained
+            .final_validation_cost()
+            .expect("validation split requested");
+        assert!(final_val.is_finite());
+        let best_seen = trained
+            .validation_curve()
+            .iter()
+            .copied()
+            .fold(f64::INFINITY, f64::min);
+        assert!(
+            (final_val - best_seen).abs() < 1e-12,
+            "returned model should be the best epoch: best {best_seen}, got {final_val}"
+        );
+        assert!(
+            trained.stopped_early() || epochs == 60,
+            "curve bookkeeping is consistent"
+        );
+    }
+
+    macro_rules! for_both_models {
+        ($($behaviour:ident),* $(,)?) => {
+            mod single_task {
+                $(#[test]
+                fn $behaviour() {
+                    super::$behaviour::<zsdb_core::TrainedModel>();
+                })*
+            }
+            mod multi_task {
+                $(#[test]
+                fn $behaviour() {
+                    super::$behaviour::<super::TrainedMultiTaskModel>();
+                })*
+            }
+        };
+    }
+
+    for_both_models!(
+        training_is_thread_count_deterministic,
+        finetuning_is_thread_count_deterministic,
+        tracer_records_epochs_without_changing_weights,
+        serialization_roundtrips,
+        validation_and_early_stopping_return_the_best_epoch,
+    );
 
     #[test]
     fn joint_training_improves_every_task() {
-        let samples = tiny_samples();
-        let trainer = MultiTaskTrainer::new(
-            MultiTaskConfig::tiny(),
-            tiny_training_config(),
-            FeaturizerConfig::estimated(),
-        );
-        let trained = trainer.train(&samples);
+        let samples = TrainedMultiTaskModel::samples();
+        let trained = TrainedMultiTaskModel::trainer(TrainingConfig {
+            epochs: 20,
+            ..TrainingConfig::tiny()
+        })
+        .train(&samples);
         let first = trained.training_curve.first().unwrap();
         let last = trained.final_train_qerrors;
         assert!(
@@ -514,174 +490,5 @@ mod tests {
             "trained cost q-error too high: {}",
             last.cost
         );
-    }
-
-    #[test]
-    fn thread_count_never_changes_the_weights() {
-        let samples = tiny_samples();
-        let base = TrainingConfig {
-            epochs: 3,
-            batch_size: 8,
-            microbatch_size: 3,
-            validation_fraction: 0.1,
-            early_stopping_patience: 0,
-            ..TrainingConfig::default()
-        };
-        let train_with = |threads: usize| {
-            MultiTaskTrainer::new(
-                MultiTaskConfig::tiny(),
-                TrainingConfig { threads, ..base },
-                FeaturizerConfig::estimated(),
-            )
-            .train(&samples)
-        };
-        let one = train_with(1);
-        let two = train_with(2);
-        let four = train_with(4);
-        assert_eq!(one.model.to_json(), two.model.to_json());
-        assert_eq!(one.model.to_json(), four.model.to_json());
-        for s in samples.iter().take(8) {
-            let a = one.predict(&s.graph);
-            let b = two.predict(&s.graph);
-            assert_eq!(a.runtime_secs.to_bits(), b.runtime_secs.to_bits());
-            assert_eq!(a.root_rows.to_bits(), b.root_rows.to_bits());
-        }
-        assert_eq!(one.validation_curve, two.validation_curve);
-    }
-
-    #[test]
-    fn validation_split_and_early_stopping_work() {
-        let samples = tiny_samples();
-        let trainer = MultiTaskTrainer::new(
-            MultiTaskConfig::tiny(),
-            TrainingConfig {
-                epochs: 40,
-                validation_fraction: 0.25,
-                early_stopping_patience: 2,
-                ..tiny_training_config()
-            },
-            FeaturizerConfig::estimated(),
-        );
-        let trained = trainer.train(&samples);
-        assert_eq!(trained.validation_curve.len(), trained.training_curve.len());
-        let final_val = trained
-            .final_validation_qerrors
-            .expect("validation split requested");
-        assert!(final_val.cost.is_finite());
-        let best_seen = trained
-            .validation_curve
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min);
-        assert!(
-            (final_val.cost - best_seen).abs() < 1e-12,
-            "returned model should be the best epoch: best {best_seen}, got {}",
-            final_val.cost
-        );
-    }
-
-    #[test]
-    fn multitask_finetune_is_thread_count_deterministic() {
-        let samples = tiny_samples();
-        let trainer = MultiTaskTrainer::new(
-            MultiTaskConfig::tiny(),
-            TrainingConfig {
-                epochs: 2,
-                ..tiny_training_config()
-            },
-            FeaturizerConfig::estimated(),
-        );
-        let base = trainer.train(&samples);
-        let finetune_set = &samples[..12];
-        let tune = |threads: usize| {
-            MultiTaskTrainer::finetune_from(
-                &base,
-                finetune_set,
-                FinetuneConfig {
-                    epochs: 3,
-                    batch_size: 8,
-                    microbatch_size: 3,
-                    threads,
-                    ..FinetuneConfig::default()
-                },
-            )
-        };
-        let one = tune(1);
-        let two = tune(2);
-        let four = tune(4);
-        assert_eq!(one.model.to_json(), two.model.to_json());
-        assert_eq!(one.model.to_json(), four.model.to_json());
-        assert_ne!(one.model.to_json(), base.model.to_json());
-        for s in finetune_set.iter().take(4) {
-            let a = one.predict(&s.graph);
-            let b = four.predict(&s.graph);
-            assert_eq!(a.runtime_secs.to_bits(), b.runtime_secs.to_bits());
-            assert_eq!(a.root_rows.to_bits(), b.root_rows.to_bits());
-            assert_eq!(a.operator_rows, b.operator_rows);
-        }
-    }
-
-    #[test]
-    fn attached_tracer_records_epochs_without_changing_weights() {
-        let samples = tiny_samples();
-        let trainer = MultiTaskTrainer::new(
-            MultiTaskConfig::tiny(),
-            TrainingConfig {
-                epochs: 2,
-                ..tiny_training_config()
-            },
-            FeaturizerConfig::estimated(),
-        );
-        let tracer = Tracer::new(64);
-        let plain = trainer.train(&samples);
-        let traced = trainer.clone().with_tracer(tracer.clone()).train(&samples);
-        assert_eq!(
-            plain.model.to_json(),
-            traced.model.to_json(),
-            "tracing must not perturb training"
-        );
-        let train_epochs = tracer
-            .events(16)
-            .into_iter()
-            .filter(|e| e.name == "train.epoch_secs")
-            .count();
-        assert_eq!(train_epochs, 2, "one event per epoch");
-
-        MultiTaskTrainer::finetune_from_traced(
-            &plain,
-            &samples[..8],
-            FinetuneConfig {
-                epochs: 3,
-                ..FinetuneConfig::default()
-            },
-            Some(&tracer),
-        );
-        let finetune_epochs = tracer
-            .events(32)
-            .into_iter()
-            .filter(|e| e.name == "finetune.epoch_secs")
-            .count();
-        assert_eq!(finetune_epochs, 3);
-    }
-
-    #[test]
-    fn trained_model_serialization_roundtrip() {
-        let samples = tiny_samples();
-        let trainer = MultiTaskTrainer::new(
-            MultiTaskConfig::tiny(),
-            TrainingConfig {
-                epochs: 2,
-                ..tiny_training_config()
-            },
-            FeaturizerConfig::estimated(),
-        );
-        let trained = trainer.train(&samples);
-        let restored = TrainedMultiTaskModel::from_json(&trained.to_json()).unwrap();
-        let a = trained.predict(&samples[0].graph);
-        let b = restored.predict(&samples[0].graph);
-        assert_eq!(a.runtime_secs.to_bits(), b.runtime_secs.to_bits());
-        assert_eq!(a.root_rows.to_bits(), b.root_rows.to_bits());
-        assert_eq!(restored.featurizer, trained.featurizer);
-        assert_eq!(restored.training_curve.len(), trained.training_curve.len());
     }
 }

@@ -1,15 +1,23 @@
 //! Fuzz-ish property suite: `decode(encode(x)) == x` for arbitrary
 //! frames, including frames carrying randomly generated plan trees, and
-//! streaming decode over arbitrarily chunked concatenations.
+//! streaming decode over arbitrarily chunked concatenations.  Hostile
+//! input — arbitrary bytes, bit-flipped frames, payloads nested past the
+//! JSON recursion limit — must give an error, never a panic or a stack
+//! overflow.
 
 use proptest::prelude::*;
-use zsdb_catalog::{ColumnId, ColumnRef, TableId, Value};
-use zsdb_engine::{PhysOperator, PlanNode};
+use serde_json::RECURSION_LIMIT;
+use zsdb_catalog::{presets, ColumnId, ColumnRef, TableId, Value};
+use zsdb_core::{FeaturizerConfig, ModelConfig, Trainer, TrainingConfig};
+use zsdb_engine::{PhysOperator, PlanNode, QueryRunner};
+use zsdb_multitask::{sample_from_execution, MultiTaskConfig, MultiTaskTrainer};
 use zsdb_protocol::{
     decode_frame, encode_frame, ErrorCode, ErrorResponse, Frame, GatewayMetrics, HealthResponse,
-    HelloAck, HelloRequest, Message, TenantMetrics, WirePrediction, PROTOCOL_VERSION,
+    HelloAck, HelloRequest, Message, ProtocolError, TenantMetrics, WirePrediction, HEADER_LEN,
+    MAGIC, PROTOCOL_VERSION,
 };
-use zsdb_query::{Aggregate, CmpOp, Predicate};
+use zsdb_query::{Aggregate, CmpOp, Predicate, WorkloadGenerator, WorkloadSpec};
+use zsdb_storage::Database;
 
 /// Deterministic SplitMix64 — a self-contained value generator so one
 /// sampled `u64` seed expands into an arbitrarily complex frame.
@@ -270,5 +278,193 @@ proptest! {
                 prop_assert_eq!(decoded, frame);
             }
         }
+    }
+}
+
+/// A well-formed frame header for `message`'s opcode carrying `payload`
+/// verbatim.
+fn frame_with_payload(message: Message, payload: &[u8]) -> Vec<u8> {
+    let mut bytes = encode_frame(&Frame::new(1, message)).expect("encode");
+    bytes.truncate(HEADER_LEN);
+    bytes[16..20].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(payload);
+    bytes
+}
+
+/// Deepest array/object nesting of a JSON text.
+fn json_depth(text: &str) -> usize {
+    let (mut depth, mut deepest) = (0usize, 0usize);
+    let (mut in_string, mut escaped) = (false, false);
+    for c in text.chars() {
+        match (in_string, escaped, c) {
+            (true, true, _) => escaped = false,
+            (true, false, '\\') => escaped = true,
+            (true, false, '"') | (false, _, '"') => in_string = !in_string,
+            (false, _, '[' | '{') => {
+                depth += 1;
+                deepest = deepest.max(depth);
+            }
+            (false, _, ']' | '}') => depth -= 1,
+            _ => {}
+        }
+    }
+    deepest
+}
+
+fn hello() -> Message {
+    Message::Hello(HelloRequest {
+        protocol_version: PROTOCOL_VERSION,
+        tenant: "t".into(),
+    })
+}
+
+#[test]
+fn payloads_nested_past_the_recursion_limit_are_malformed() {
+    for depth in [RECURSION_LIMIT + 1, 100_000] {
+        for (message, op) in [
+            (hello(), "Hello"),
+            (Message::Predict(Box::new(Gen(1).plan(0))), "Predict"),
+        ] {
+            let payload = "[".repeat(depth) + &"]".repeat(depth);
+            match decode_frame(&frame_with_payload(message, payload.as_bytes())) {
+                Err(ProtocolError::MalformedPayload { op: got, detail }) => {
+                    assert_eq!(got, op);
+                    assert!(detail.contains("recursion limit"), "{detail}");
+                }
+                other => {
+                    panic!("{op} nested {depth} deep: expected MalformedPayload, got {other:?}")
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn deepest_generated_plans_and_trained_models_round_trip() {
+    // The deepest plan the workload generator produces: joins over every
+    // table of each preset schema.
+    let mut deepest: Option<(usize, PlanNode)> = None;
+    for (catalog, seed) in [
+        (presets::imdb_like(0.02), 3u64),
+        (presets::ssb_like(0.02), 5),
+    ] {
+        let db = Database::generate(catalog, seed);
+        let spec = WorkloadSpec {
+            max_tables: db.catalog().tables().len(),
+            ..WorkloadSpec::default()
+        };
+        let queries = WorkloadGenerator::new(spec).generate(db.catalog(), 200, seed);
+        for plan in QueryRunner::with_defaults(&db).plan_workload(&queries) {
+            let depth = json_depth(&serde_json::to_string(&plan).expect("plan json"));
+            if deepest.as_ref().is_none_or(|(d, _)| depth > *d) {
+                deepest = Some((depth, plan));
+            }
+        }
+    }
+    let (depth, plan) = deepest.expect("generated plans");
+    let frame = Frame::new(9, Message::PredictBatch(vec![plan.clone(), plan.clone()]));
+    let bytes = encode_frame(&frame).expect("encode");
+    assert!(json_depth(std::str::from_utf8(&bytes[HEADER_LEN..]).unwrap()) < RECURSION_LIMIT);
+    assert_eq!(
+        decode_frame(&bytes).expect("decode"),
+        Some((frame, bytes.len()))
+    );
+    assert!(
+        depth < RECURSION_LIMIT / 2,
+        "plan nesting {depth} is near the limit"
+    );
+
+    // Trained models as the registry persists them (`model.json`,
+    // `multitask_model.json` are their `to_json`).
+    let db = Database::generate(presets::imdb_like(0.02), 3);
+    let runner = QueryRunner::with_defaults(&db);
+    let queries = WorkloadGenerator::with_defaults().generate(db.catalog(), 12, 3);
+    let executions = runner.run_workload(&queries, 0);
+    let training = TrainingConfig {
+        epochs: 1,
+        ..TrainingConfig::tiny()
+    };
+    let graphs: Vec<_> = executions
+        .iter()
+        .map(|e| {
+            zsdb_core::features::featurize_execution(db.catalog(), e, FeaturizerConfig::exact())
+        })
+        .collect();
+    let single =
+        Trainer::new(ModelConfig::tiny(), training, FeaturizerConfig::exact()).train(&graphs);
+    let json = single.to_json();
+    assert!(json_depth(&json) < RECURSION_LIMIT);
+    assert_eq!(
+        zsdb_core::TrainedModel::from_json(&json).unwrap().to_json(),
+        json
+    );
+
+    let samples: Vec<_> = executions
+        .iter()
+        .map(|e| sample_from_execution(db.catalog(), e, FeaturizerConfig::estimated()))
+        .collect();
+    let multi = MultiTaskTrainer::new(
+        MultiTaskConfig::tiny(),
+        training,
+        FeaturizerConfig::estimated(),
+    )
+    .train(&samples);
+    let json = multi.to_json();
+    assert!(json_depth(&json) < RECURSION_LIMIT);
+    assert_eq!(
+        zsdb_multitask::TrainedMultiTaskModel::from_json(&json)
+            .unwrap()
+            .to_json(),
+        json
+    );
+}
+
+/// `decode_frame` on hostile bytes: an error or a frame, never a panic,
+/// and a decoded frame never claims more bytes than the buffer holds.
+fn assert_decodes_safely(bytes: &[u8]) -> Result<(), TestCaseError> {
+    if let Ok(Some((_, used))) = decode_frame(bytes) {
+        prop_assert!(
+            used <= bytes.len(),
+            "consumed {used} of {} bytes",
+            bytes.len()
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn arbitrary_bytes_never_panic(
+        body in prop::collection::vec(0u16..256, 0..256),
+        header_only in 0u8..2,
+        version in 1u8..3,
+    ) {
+        let body: Vec<u8> = body.into_iter().map(|b| b as u8).collect();
+        // Raw garbage, and garbage behind a valid magic and version so it
+        // reaches the header, length and payload checks.
+        assert_decodes_safely(&body)?;
+        let mut framed = MAGIC.to_vec();
+        framed.push(version);
+        framed.extend_from_slice(&body);
+        if header_only == 1 && framed.len() >= HEADER_LEN {
+            let payload_len = (framed.len() - HEADER_LEN) as u32;
+            framed[6..8].copy_from_slice(&[0, 0]);
+            framed[16..20].copy_from_slice(&payload_len.to_le_bytes());
+        }
+        assert_decodes_safely(&framed)?;
+    }
+
+    #[test]
+    fn bit_flipped_frames_never_panic(seed in 0u64..u64::MAX, trace_id in 0u64..u64::MAX) {
+        let mut gen = Gen(seed);
+        let trace_id = if seed.is_multiple_of(2) { 0 } else { trace_id };
+        let mut bytes = encode_frame(&Frame::traced(3, trace_id, gen.message())).expect("encode");
+        for _ in 0..=gen.below(4) {
+            let bit = gen.below(bytes.len() as u64 * 8) as usize;
+            bytes[bit / 8] ^= 1 << (bit % 8);
+        }
+        assert_decodes_safely(&bytes)?;
     }
 }

@@ -23,13 +23,22 @@
 //!     the `SlowLog` op, its full `ProvenanceRecord` via `Explain`, the
 //!     record's stage durations tile the end-to-end latency, and the
 //!     record names the serving model (name + version).
+//!
+//! plus hostile input: a handshake or request frame whose JSON payload
+//! nests past the parser's recursion limit gets a `BadRequest` reply, and
+//! the gateway keeps serving bit-identical predictions afterwards.
 
 use std::collections::HashMap;
+use std::io::Write;
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use zero_shot_db::catalog::presets;
 use zero_shot_db::client::{Client, ClientConfig, ClientError};
-use zero_shot_db::protocol::{ErrorCode, GatewayMetrics, TenantMetrics, PROTOCOL_VERSION};
+use zero_shot_db::protocol::{
+    encode_frame, read_frame, write_frame, ErrorCode, Frame, GatewayMetrics, HelloRequest, Message,
+    TenantMetrics, HEADER_LEN, PROTOCOL_VERSION,
+};
 use zero_shot_db::serve::{
     NetServer, NetServerConfig, PredictionServer, ServerConfig, TenantPolicy, STAGE_ADMISSION,
     STAGE_FEATURIZE, STAGE_FORWARD, STAGE_QUEUE_WAIT, STAGE_RESPOND,
@@ -562,5 +571,81 @@ fn concurrent_recording_under_snapshot_pressure_loses_nothing() {
 
     drop(alpha);
     drop(beta);
+    gateway.shutdown();
+}
+
+/// A frame of `message`'s opcode whose JSON payload is 100,000 nested
+/// `[` — deep enough to overflow any thread's stack in a recursive
+/// parser.
+fn over_deep_frame(message: Message) -> Vec<u8> {
+    let depth = 100_000;
+    let payload = "[".repeat(depth) + &"]".repeat(depth);
+    let mut bytes = encode_frame(&Frame::new(1, message)).expect("encode");
+    bytes.truncate(HEADER_LEN);
+    bytes[16..20].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(payload.as_bytes());
+    bytes
+}
+
+/// Read frames until the gateway's error reply; its code.
+fn error_reply(stream: &mut TcpStream) -> ErrorCode {
+    loop {
+        let frame = read_frame(stream)
+            .expect("readable reply")
+            .expect("a reply before hang-up");
+        if let Message::Error(e) = frame.message {
+            return e.code;
+        }
+    }
+}
+
+#[test]
+fn over_deep_payloads_get_bad_request_and_the_gateway_keeps_serving() {
+    let db = Database::generate(presets::imdb_like(0.02), 11);
+    let (model, plans) = tiny_serving_fixture(&db, 10, 5);
+    let gateway = NetServer::start(
+        "127.0.0.1:0",
+        PredictionServer::start(model, db.catalog().clone(), ServerConfig::default()),
+        NetServerConfig::default().with_tenant("alpha", TenantPolicy { max_in_flight: 64 }),
+    )
+    .expect("bind gateway");
+    let addr = gateway.local_addr();
+    let hello = Message::Hello(HelloRequest {
+        protocol_version: PROTOCOL_VERSION,
+        tenant: "alpha".into(),
+    });
+
+    // An over-deep handshake.
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream.write_all(&over_deep_frame(hello.clone())).unwrap();
+    assert_eq!(error_reply(&mut stream), ErrorCode::BadRequest);
+
+    // An over-deep request after a valid handshake.
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    write_frame(&mut stream, &Frame::new(1, hello)).unwrap();
+    let ack = read_frame(&mut stream).unwrap().expect("handshake reply");
+    assert!(matches!(ack.message, Message::HelloAck(_)), "{ack:?}");
+    let predict = Message::Predict(Box::new(plans[0].clone()));
+    stream.write_all(&over_deep_frame(predict)).unwrap();
+    assert_eq!(error_reply(&mut stream), ErrorCode::BadRequest);
+
+    // The gateway process survived both, and a fresh client gets answers
+    // bit-identical to the in-process path.
+    let client = Client::connect(addr, ClientConfig::tenant("alpha")).expect("connect client");
+    for plan in &plans {
+        let local = gateway
+            .server()
+            .predict_blocking(plan.clone())
+            .expect("in-process prediction");
+        let remote = client.predict(plan).expect("remote predict");
+        assert_eq!(remote.runtime_secs.to_bits(), local.runtime_secs.to_bits());
+    }
+    drop(client);
     gateway.shutdown();
 }
